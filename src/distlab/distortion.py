@@ -91,6 +91,14 @@ def _inv(p: float) -> float:
     return 0.0 if math.isinf(p) else 1.0 / p
 
 
+def _ratio_norm(Sigma: np.ndarray, K: np.ndarray, q: float, hvol: float) -> float:
+    """L^q norm of Sigma / K over the given cells."""
+    ratio = Sigma / K
+    if math.isinf(q):
+        return float(ratio.max())
+    return float((ratio**q).sum() * hvol) ** (1.0 / q)
+
+
 def lebesgue_norm(field: ScalarField, p: float) -> float:
     """L^p norm on the sampled measure; the essential sup is the max."""
     vals = field.values
@@ -114,11 +122,16 @@ def pointwise_distortion(vm: VectorMap) -> ScalarField:
     Returns a field on the sub-masked grid {J > 1e-12 |Df|^n}; everywhere
     else the quotient is undefined.
     """
-    grid = vm.grid
-    n = grid.dim
+    return _quotient(vm.grid, *_derivative_powers(vm))
+
+
+def _derivative_powers(vm: VectorMap) -> tuple[np.ndarray, np.ndarray]:
+    """|Df|^n and J_f as full-box arrays, from one difference derivative."""
     D = differential(vm)
-    dn = op_norm(D).data**n
-    J = jacobian(D).data
+    return op_norm(D).data ** vm.grid.dim, jacobian(D).data
+
+
+def _quotient(grid, dn: np.ndarray, J: np.ndarray) -> ScalarField:
     defined = grid.mask & (J > _J_GATE * dn) & (dn > 0)
     if not defined.any():
         raise ValueError("Jacobian is nowhere positive; pointwise distortion undefined")
@@ -133,12 +146,8 @@ def residual_defect(vm: VectorMap, K: ScalarField) -> ScalarField:
     Sigma_min = max(0, |Df|^n - K * J_f)."""
     if (K.values < 1.0).any():
         raise ValueError("residual defect expects K >= 1 cellwise")
-    grid = vm.grid
-    n = grid.dim
-    D = differential(vm)
-    dn = op_norm(D).data**n
-    J = jacobian(D).data
-    return _as_field(grid, np.maximum(dn - K.data * J, 0.0), nonnegative=True)
+    dn, J = _derivative_powers(vm)
+    return _as_field(vm.grid, np.maximum(dn - K.data * J, 0.0), nonnegative=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,9 +213,9 @@ def verify_distortion(
     """
     grid = vm.grid
     n = grid.dim
-    D = differential(vm)
-    dn = op_norm(D).values ** n
-    J = jacobian(D).values
+    dn_box, J_box = _derivative_powers(vm)
+    dn = dn_box[grid.mask]
+    J = J_box[grid.mask]
     K = data.K.values
     Sigma = data.Sigma.values
 
@@ -234,14 +243,7 @@ def verify_distortion(
 
     finite_sigma = np.isfinite(Sigma)
     usable = finite_sigma & (K > 0)
-    ratio = Sigma[usable] / K[usable]
-    hvol = grid.cell_volume
-    if not usable.any():
-        sk_norm = 0.0
-    elif math.isinf(data.q):
-        sk_norm = float(ratio.max())
-    else:
-        sk_norm = float((ratio**data.q).sum() * hvol) ** (1.0 / data.q)
+    sk_norm = _ratio_norm(Sigma[usable], K[usable], data.q, grid.cell_volume) if usable.any() else 0.0
     k_norm = lebesgue_norm(data.K, data.p)
     crit = None
     if math.isinf(data.p):
@@ -249,16 +251,15 @@ def verify_distortion(
         crit = min(1.0 / kinf if kinf > 0 else math.inf, 1.0 - _inv(data.q))
 
     try:
-        pk = pointwise_distortion(vm)
+        pk = _quotient(grid, dn_box, J_box)
     except ValueError:
         pk = None
-    residual = _as_field(grid, np.maximum(op_norm(D).data ** n - data.K.data * jacobian(D).data, 0.0), nonnegative=True)
+    residual = _as_field(grid, np.maximum(dn_box - data.K.data * J_box, 0.0), nonnegative=True)
 
     idx = np.nonzero(violated)[0]
-    finite_resid = np.where(np.isneginf(resid), -np.inf, resid)
     return DistortionReport(
         violation_count=int(violated.sum()),
-        max_violation=float(finite_resid.max()),
+        max_violation=float(resid.max()),
         max_excess=float(excess.max()),
         K_norm_p=k_norm,
         Sigma_over_K_norm_q=sk_norm,

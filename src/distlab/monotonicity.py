@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import upper_distribution
-from .distortion import DistortionData, lebesgue_norm
+from .distortion import DistortionData, _inv, _ratio_norm, lebesgue_norm
 from .fields import (
     Ball,
     ScalarField,
@@ -230,10 +230,6 @@ class ChainLedger:
         return "\n".join(lines) + "\n"
 
 
-def _inv(p: float) -> float:
-    return 0.0 if math.isinf(p) else 1.0 / p
-
-
 def _holds(lhs, rhs, rel) -> bool:
     return lhs <= rhs * (1.0 + rel) + _TOL_ABS
 
@@ -410,13 +406,6 @@ def sup_bound_chain(
         ChainCheck("negative_part", neg_max, 0.0, neg_max <= 0.0),
     )
     return ChainLedger(entries, checks, trivial=False, support_warning=not boundary_support_ok(phi))
-
-
-def _ratio_norm(Sigma: np.ndarray, K: np.ndarray, q: float, hvol: float) -> float:
-    ratio = Sigma / K
-    if math.isinf(q):
-        return float(ratio.max())
-    return float((ratio**q).sum() * hvol) ** (1.0 / q)
 
 
 # --------------------------------------------------------- modulus machinery

@@ -174,6 +174,29 @@ def test_residual_then_verify_is_exact(seed):
     assert rep.max_excess <= 0
 
 
+def test_one_derivative_pass_per_call(monkeypatch):
+    # residual_defect and verify_distortion each take D, |Df|^n and J_f
+    # from a single differential / op_norm / jacobian evaluation
+    import distlab.distortion as dmod
+
+    calls = {}
+    for name in ("differential", "op_norm", "jacobian"):
+
+        def counted(*args, _fn=getattr(dmod, name), _name=name, **kw):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kw)
+
+        monkeypatch.setattr(dmod, name, counted)
+    g = build_grid(CENTERED, 16)
+    vm = sample(g, lambda p: p @ np.array([[2.0, 0.5], [0.1, 1.0]]).T)
+    K = const_field(g, 2.0)
+    data = DistortionData(K, const_field(g, 0.0), 4.0, 4.0)
+    for call in (lambda: residual_defect(vm, K), lambda: verify_distortion(vm, data)):
+        calls.clear()
+        call()
+        assert calls == {"differential": 1, "op_norm": 1, "jacobian": 1}
+
+
 # --------------------------------------------------------- verify_distortion
 
 
@@ -299,9 +322,8 @@ def test_weighted_zero_integral_staircase_weight():
     vm = sample(g, bump_times_x2)
     F = inverse_distribution_fn(vm.component(0), 0.5)
     # F is +inf above the max of |f_1|; cap it just below
-    capped = MonotoneFn.analytic(
-        lambda t, F=F: F(min(t, vm.component(0).max() * (1 - 1e-12))), 1e12
-    )
+    top = vm.component(0).max() * (1 - 1e-12)
+    capped = MonotoneFn.analytic(lambda t, F=F: F(min(t, top)), 1e12)
     val, pos, neg = weighted_zero_integral_check(vm, 0, capped)
     assert pos == pytest.approx(neg, rel=0.01)
 
