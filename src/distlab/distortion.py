@@ -224,14 +224,14 @@ def verify_distortion(
         if y0.shape != (n,):
             raise ValueError("y0 must be a point of the target space")
         dist_n = ((vm.data[grid.mask] - y0) ** 2).sum(axis=1) ** (n / 2.0)
-        defect = dist_n * Sigma
+        # +inf wherever Sigma is, also at distance 0 where 0 * inf is NaN
+        with np.errstate(invalid="ignore"):
+            defect = np.where(np.isposinf(Sigma), np.inf, dist_n * Sigma)
     else:
         defect = Sigma
 
-    with np.errstate(invalid="ignore"):
-        rhs = K * J + defect
-        rhs = np.where(np.isposinf(defect), np.inf, rhs)
-        resid = dn - rhs
+    rhs = K * J + defect
+    resid = dn - rhs
     if rel_tol is None:
         tol = _PT_TOL * (1.0 + dn)
         used_tol = _PT_TOL

@@ -253,6 +253,22 @@ def test_verify_quasiregular_value_weighting():
     assert rep.zero_violations
 
 
+def test_verify_y0_at_infinite_sigma_cell_stays_finite():
+    # y0 = f at a cell with Sigma = +inf makes |f - y0|^n * Sigma = 0 * inf
+    # there; the defect is +inf at such a cell whatever the distance
+    g = build_grid(CENTERED, 16)
+    vm = sample(g, lambda p: p * np.array([2.0, 1.0]))  # |Df|^2 = 4 > K J = 2
+    sigma = np.zeros(g.cell_count)
+    sigma[0] = np.inf
+    Sigma = ScalarField.from_values(g, sigma, nonnegative=True, allow_infinite=True)
+    data = DistortionData(const_field(g, 1.0), Sigma, 4.0, 4.0)
+    plain = verify_distortion(vm, data)
+    rep = verify_distortion(vm, data, y0=vm.data[g.mask][0])
+    assert math.isfinite(rep.max_violation) and math.isfinite(rep.max_excess)
+    assert rep.violation_count == plain.violation_count == g.cell_count - 1
+    assert rep.as_dict() == plain.as_dict()
+
+
 def test_critical_holder_exponent_reported():
     g = build_grid(CENTERED, 8)
     ident = sample(g, lambda p: p)
