@@ -408,10 +408,9 @@ def op_norm(mf: MatrixField) -> ScalarField:
     if grid.dim == 2:
         a, b = m[..., 0, 0], m[..., 0, 1]
         c, d = m[..., 1, 0], m[..., 1, 1]
-        q1 = a * a + b * b + c * c + d * d
-        det = a * d - b * c
-        disc = np.sqrt(np.maximum(q1 * q1 - 4.0 * det * det, 0.0))
-        smax = np.sqrt(np.maximum((q1 + disc) / 2.0, 0.0))
+        # Blinn's factorization ("Consider the lowly 2x2 matrix", 1996);
+        # sqrt(q1^2 - 4 det^2) cancels catastrophically on near-conformal cells
+        smax = 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, b + c))
     else:
         # Gram matrix M^T M is symmetric: build its six distinct entries
         # (about half the cost of a full einsum) and take the largest

@@ -209,6 +209,19 @@ def test_verify_identity_conformal():
     assert rep.K_norm_p == pytest.approx(g.measure ** 0.5)
 
 
+@given(theta=st.floats(0.0, 2.0 * math.pi), scale=st.floats(0.1, 10.0))
+@settings(max_examples=30, deadline=None)
+def test_verify_rotated_conformal_map_has_no_false_violations(theta, scale):
+    # |Df|^2 = J exactly for a scaled rotation; the 2-D operator norm must
+    # not lose it to cancellation on such near-conformal cells
+    g = build_grid(CENTERED, 64)
+    c, s = math.cos(theta), math.sin(theta)
+    A = scale * np.array([[c, -s], [s, c]])
+    vm = sample(g, lambda p: p @ A.T)
+    rep = verify_distortion(vm, DistortionData(const_field(g, 1.0), const_field(g, 0.0), 4.0, 4.0))
+    assert rep.zero_violations
+
+
 def test_verify_radial_log_norm_and_violations():
     ex = make_example("radial_log")
     g = build_grid(Ball((0.0, 0.0), 1.0), 256)
