@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from distlab import distortion
 from distlab.fields import Ball, Box, ScalarField, build_grid, sample
 from distlab.distortion import (
     DistortionData,
@@ -177,16 +178,14 @@ def test_residual_then_verify_is_exact(seed):
 def test_one_derivative_pass_per_call(monkeypatch):
     # residual_defect and verify_distortion each take D, |Df|^n and J_f
     # from a single differential / op_norm / jacobian evaluation
-    import distlab.distortion as dmod
-
     calls = {}
     for name in ("differential", "op_norm", "jacobian"):
 
-        def counted(*args, _fn=getattr(dmod, name), _name=name, **kw):
+        def counted(*args, _fn=getattr(distortion, name), _name=name, **kw):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kw)
 
-        monkeypatch.setattr(dmod, name, counted)
+        monkeypatch.setattr(distortion, name, counted)
     g = build_grid(CENTERED, 16)
     vm = sample(g, lambda p: p @ np.array([[2.0, 0.5], [0.1, 1.0]]).T)
     K = const_field(g, 2.0)
