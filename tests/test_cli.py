@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from distlab import distortion, monotonicity
 from distlab.cli import CommandPlan, UsageError, execute, main, parse_command
 from distlab.fieldio import read_field, write_field
 from distlab.fields import Ball, Box, ScalarField, build_grid, sample
@@ -126,6 +127,58 @@ def test_analyze_default_data_is_self_consistent(tmp_path, capsys):
     doc = json.loads(captured)
     assert doc["violation_count"] == 0  # minimal defect closes the inequality
     assert doc["sigma_source"].startswith("default")
+
+
+def _export_radial_log(tmp_path, capsys, res=64):
+    out = tmp_path / "rl.json"
+    code = main(
+        ["gallery", "--export", "radial_log", "--resolution", str(res), "--with-data", "--out", str(out)]
+    )
+    assert code == 0
+    capsys.readouterr()
+    return out
+
+
+def _field_on(tmp_path, name, domain, res, value):
+    g = build_grid(domain, res)
+    path = tmp_path / name
+    write_field(ScalarField.from_values(g, np.full(g.cell_count, value)), path)
+    return str(path)
+
+
+def _refuse_derivatives(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("derivative work started before the companion grid check")
+
+    for module in (distortion, monotonicity):
+        monkeypatch.setattr(module, "differential", refuse)
+
+
+@pytest.mark.parametrize("flag", ["--kfield", "--sigmafield"])
+@pytest.mark.parametrize(
+    "domain,res",
+    [(Ball((0.0, 0.0), 5.0), 64), (Ball((0.5, 0.0), 1.0), 64), (Ball((0.0, 0.0), 1.0), 32)],
+    ids=["spacing", "origin", "shape"],
+)
+def test_companion_field_on_another_grid_rejected(tmp_path, capsys, monkeypatch, flag, domain, res):
+    out = _export_radial_log(tmp_path, capsys)
+    other = _field_on(tmp_path, "other.json", domain, res, 2.0)
+    _refuse_derivatives(monkeypatch)
+    analyze = ["analyze", str(out), flag, other]
+    chain = ["monotonicity", str(out), "--chain", "--center", "0,0", "--chain-ball", "0.3", flag, other]
+    for argv in (analyze, chain):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert other in captured.err
+        assert "grid" in captured.err
+
+
+def test_companion_field_on_the_map_grid_accepted(tmp_path, capsys):
+    out = _export_radial_log(tmp_path, capsys, res=32)
+    same = _field_on(tmp_path, "k2.json", Ball((0.0, 0.0), 1.0), 32, 2.0)
+    assert main(["analyze", str(out), "--kfield", same]) == 0
+    assert json.loads(capsys.readouterr().out)["k_source"] == same
 
 
 # ------------------------------------------------------------------- sobolev

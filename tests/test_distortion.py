@@ -30,6 +30,20 @@ def const_field(grid, c, **kw):
     return ScalarField.from_values(grid, np.full(grid.cell_count, float(c)), **kw)
 
 
+@pytest.mark.parametrize(
+    "other",
+    [Box((-5.0, -5.0), (5.0, 5.0)), Box((0.5, 0.0), (1.5, 1.0)), Box((0.0, 0.0), (2.0, 2.0))],
+    ids=["spacing-and-origin", "origin", "spacing"],
+)
+def test_distortion_data_rejects_sigma_on_another_grid(other):
+    # same shape, different lattice: K and Sigma would be paired cell by cell
+    g = build_grid(UNIT_SQUARE, 8)
+    h = build_grid(other, 8)
+    with pytest.raises(ValueError, match="same grid"):
+        DistortionData(const_field(g, 1.0), const_field(h, 0.0))
+    DistortionData(const_field(g, 1.0), const_field(build_grid(UNIT_SQUARE, 8), 0.0))
+
+
 def bump(pts, center=(0.5, 0.5), radius=0.4):
     d2 = ((pts - np.asarray(center)) ** 2).sum(axis=-1) / radius**2
     out = np.zeros(len(pts))

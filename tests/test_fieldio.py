@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from distlab import fieldio
 from distlab.fields import Ball, Box, ScalarField, build_grid, sample
 from distlab.fieldio import (
     FieldFormatError,
@@ -88,6 +89,50 @@ def test_malformed_documents_rejected(tmp_path):
     p.write_text("not json")
     with pytest.raises(FieldFormatError):
         read_field(p)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"values": [0.0]}, {"components": [[0.0], [0.0]]}],
+    ids=["values", "components"],
+)
+def test_payload_length_checked_before_the_grid_is_built(monkeypatch, payload):
+    # a tiny document must not be able to request a 10^10-cell grid
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_grid ran before the payload length check")
+
+    monkeypatch.setattr(fieldio, "build_grid", refuse)
+    doc = {
+        "dim": 2,
+        "shape": [100_000, 100_000],
+        "origin": [0.0, 0.0],
+        "spacing": 1e-5,
+        "domain": "box",
+        **payload,
+    }
+    with pytest.raises(FieldFormatError, match="10000000000 entries"):
+        field_from_document(doc)
+
+
+@pytest.mark.parametrize("bad", ["1.5", True, False, [1.0], {"x": 1.0}])
+@pytest.mark.parametrize("key", ["values", "components"])
+def test_non_numeric_entries_rejected(bad, key):
+    g = build_grid(Box((0.0, 0.0), (1.0, 1.0)), 4)
+    f = ScalarField.from_values(g, np.zeros(g.cell_count))
+    vm = sample(g, lambda p: p)
+    doc = json.loads(json.dumps(field_document(f if key == "values" else vm)))
+    entries = doc["values"] if key == "values" else doc["components"][1]
+    entries[5] = bad
+    with pytest.raises(FieldFormatError, match=r"cell \(1, 1\)"):
+        field_from_document(doc)
+
+
+def test_integer_entries_accepted():
+    g = build_grid(Box((0.0, 0.0), (1.0, 1.0)), 4)
+    doc = field_document(ScalarField.from_values(g, np.zeros(g.cell_count)))
+    doc["values"] = [2] * g.cell_count
+    back = field_from_document(json.loads(json.dumps(doc)))
+    assert np.array_equal(back.values, np.full(g.cell_count, 2.0))
 
 
 def test_restricted_grid_not_serializable():
