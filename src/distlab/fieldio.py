@@ -63,7 +63,27 @@ def field_document(obj: ScalarField | VectorMap) -> dict:
     return doc
 
 
-def _rebuild_grid(doc: dict) -> Grid:
+def _payload(doc: dict, shape: tuple[int, ...]) -> dict:
+    """The named value lists of the document, with their lengths checked in
+    integer arithmetic, so a tiny document cannot request a huge grid."""
+    has_values = "values" in doc
+    if has_values == ("components" in doc):
+        raise FieldFormatError("document must carry exactly one of 'values' or 'components'")
+    if has_values:
+        payload = {"values": doc["values"]}
+    else:
+        comps = doc["components"]
+        if not isinstance(comps, list) or len(comps) != len(shape):
+            raise FieldFormatError(f"need exactly {len(shape)} components")
+        payload = {f"components[{i}]": comp for i, comp in enumerate(comps)}
+    n = math.prod(shape)
+    for name, arr in payload.items():
+        if not isinstance(arr, list) or len(arr) != n:
+            raise FieldFormatError(f"{name} must be a row-major list of {n} entries")
+    return payload
+
+
+def _rebuild_grid(doc: dict) -> tuple[Grid, dict]:
     try:
         dim = int(doc["dim"])
         shape = tuple(int(s) for s in doc["shape"])
@@ -85,17 +105,16 @@ def _rebuild_grid(doc: dict) -> Grid:
             raise FieldFormatError("malformed ball domain") from exc
     else:
         raise FieldFormatError(f"unknown domain descriptor {domain!r}")
+    payload = _payload(doc, shape)
     grid = build_grid(dom, shape)
     if grid.shape != shape or abs(grid.spacing - spacing) > 1e-12 * spacing:
         raise FieldFormatError("domain, shape and spacing are inconsistent")
     if any(abs(a - b) > 1e-12 * max(1.0, abs(b)) for a, b in zip(grid.origin, origin)):
         raise FieldFormatError("origin does not match the domain box")
-    return grid
+    return grid, payload
 
 
-def _parse_array(grid: Grid, arr, name: str) -> np.ndarray:
-    if not isinstance(arr, list) or len(arr) != int(np.prod(grid.shape)):
-        raise FieldFormatError(f"{name} must be a row-major list of {np.prod(grid.shape)} entries")
+def _parse_array(grid: Grid, arr: list, name: str) -> np.ndarray:
     flat_mask = grid.mask.reshape(-1)
     out = np.full(len(arr), np.nan)
     for idx, (v, m) in enumerate(zip(arr, flat_mask)):
@@ -107,30 +126,20 @@ def _parse_array(grid: Grid, arr, name: str) -> np.ndarray:
         if not m:
             cell = np.unravel_index(idx, grid.shape)
             raise FieldFormatError(f"{name}: value at unmasked cell {tuple(int(c) for c in cell)}")
-        fv = float(v)
-        if not math.isfinite(fv):
+        # JSON strings and true/false (bool is an int subclass) are not numbers
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
             cell = np.unravel_index(idx, grid.shape)
-            raise FieldFormatError(f"{name}: non-finite value at cell {tuple(int(c) for c in cell)}")
-        out[idx] = fv
+            raise FieldFormatError(f"{name}: {v!r} at cell {tuple(int(c) for c in cell)} is not a finite number")
+        out[idx] = v
     return out.reshape(grid.shape)
 
 
 def field_from_document(doc: dict) -> ScalarField | VectorMap:
-    grid = _rebuild_grid(doc)
-    has_values = "values" in doc
-    has_components = "components" in doc
-    if has_values == has_components:
-        raise FieldFormatError("document must carry exactly one of 'values' or 'components'")
-    if has_values:
-        return ScalarField(grid, _parse_array(grid, doc["values"], "values"))
-    comps = doc["components"]
-    if not isinstance(comps, list) or len(comps) != grid.dim:
-        raise FieldFormatError(f"need exactly {grid.dim} components")
-    data = np.stack(
-        [_parse_array(grid, comp, f"components[{i}]") for i, comp in enumerate(comps)],
-        axis=-1,
-    )
-    return VectorMap(grid, data)
+    grid, payload = _rebuild_grid(doc)
+    arrays = [_parse_array(grid, arr, name) for name, arr in payload.items()]
+    if "values" in payload:
+        return ScalarField(grid, arrays[0])
+    return VectorMap(grid, np.stack(arrays, axis=-1))
 
 
 def write_field(obj: ScalarField | VectorMap, path) -> None:
