@@ -34,7 +34,7 @@ from .distribution import (
     verify_level_bounds,
 )
 from .fieldio import FieldFormatError, read_field, write_field
-from .fields import Ball, ScalarField, VectorMap, interpolate
+from .fields import Ball, Grid, ScalarField, VectorMap, _same_lattice, interpolate
 from .gallery import (
     list_examples,
     make_example,
@@ -294,25 +294,46 @@ def _cmd_gallery(plan: CommandPlan) -> int:
     return 0
 
 
+def _read_companion(path: str | None, grid: Grid) -> np.ndarray | None:
+    """Full-box data of a --kfield/--sigmafield file (None without one),
+    checked to lie on the map's lattice before any derivative work."""
+    if path is None:
+        return None
+    field = _read_scalar(path)
+    g = field.grid
+    if not _same_lattice(g, grid):
+        raise _Failure(
+            f"{path}: grid (shape {list(g.shape)}, origin {list(g.origin)}, spacing {g.spacing!r}) "
+            f"does not match the map grid (shape {list(grid.shape)}, origin {list(grid.origin)}, "
+            f"spacing {grid.spacing!r})",
+            1,
+        )
+    return field.data
+
+
+def _distortion_data(opts: dict, vm: VectorMap, kdata, sdata) -> DistortionData:
+    """K (default 1) and Sigma (default: the minimal defect for K) on the map's grid."""
+    grid = vm.grid
+    if kdata is None:
+        K = ScalarField.from_values(grid, np.ones(grid.cell_count), nonnegative=True)
+    else:
+        K = ScalarField(grid, kdata, nonnegative=True)
+    if sdata is None:
+        S = residual_defect(vm, K)
+    else:
+        S = ScalarField(grid, sdata, nonnegative=True, allow_infinite=True)
+    return DistortionData(K, S, opts["p"], opts["q"])
+
+
 def _cmd_analyze(plan: CommandPlan) -> int:
     opts = plan.options
     vm = _read_map(opts["map"])
     grid = vm.grid
-    if opts["kfield"] is not None:
-        K = _read_scalar(opts["kfield"])
-        K = ScalarField(grid, K.data, nonnegative=True)
-        k_source = opts["kfield"]
-    else:
-        K = ScalarField.from_values(grid, np.ones(grid.cell_count), nonnegative=True)
-        k_source = "default: K = 1"
-    if opts["sigmafield"] is not None:
-        S = _read_scalar(opts["sigmafield"])
-        S = ScalarField(grid, S.data, nonnegative=True, allow_infinite=True)
-        s_source = opts["sigmafield"]
-    else:
-        S = residual_defect(vm, K)
-        s_source = "default: minimal defect for the given K"
-    data = DistortionData(K, S, opts["p"], opts["q"])
+    kdata = _read_companion(opts["kfield"], grid)
+    sdata = _read_companion(opts["sigmafield"], grid)
+    data = _distortion_data(opts, vm, kdata, sdata)
+    k_source = "default: K = 1" if kdata is None else opts["kfield"]
+    s_source = "default: minimal defect for the given K" if sdata is None else opts["sigmafield"]
     rep = verify_distortion(vm, data, y0=opts["y0"], rel_tol=opts["rel_tol"])
     if opts["violations_out"]:
         with open(opts["violations_out"], "w") as fh:
@@ -463,6 +484,8 @@ def _cmd_monotonicity(plan: CommandPlan) -> int:
             raise _Failure("--chain needs a map file (components)", 1)
         if opts["chain_ball"] is None:
             raise _Failure("--chain needs --chain-ball R", 1)
+        kdata = _read_companion(opts["kfield"], grid)
+        sdata = _read_companion(opts["sigmafield"], grid)
         ball = Ball(center, opts["chain_ball"])
         comp = obj.component(opts["component"])
         ext = ball_extrema(comp, ball, opts["samples"])
@@ -470,15 +493,7 @@ def _cmd_monotonicity(plan: CommandPlan) -> int:
         if level is None:
             level = ext.boundary_max if opts["mode"] == "above" else ext.boundary_min
         sub = obj.restrict(grid.ball_mask(ball))
-        if opts["kfield"] is not None:
-            K = ScalarField(sub.grid, _read_scalar(opts["kfield"]).data, nonnegative=True)
-        else:
-            K = ScalarField.from_values(sub.grid, np.ones(sub.grid.cell_count), nonnegative=True)
-        if opts["sigmafield"] is not None:
-            S = ScalarField(sub.grid, _read_scalar(opts["sigmafield"]).data, nonnegative=True)
-        else:
-            S = residual_defect(sub, K)
-        data = DistortionData(K, S, opts["p"], opts["q"])
+        data = _distortion_data(opts, sub, kdata, sdata)
         ledger = sup_bound_chain(
             sub, data, opts["component"], level, opts["mode"], gamma=opts["gamma"]
         )

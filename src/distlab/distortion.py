@@ -25,6 +25,7 @@ import numpy as np
 from .fields import (
     ScalarField,
     VectorMap,
+    _same_lattice,
     boundary_support_ok,
     differential,
     integrate,
@@ -69,7 +70,7 @@ class DistortionData:
     q: float = math.inf
 
     def __post_init__(self):
-        if self.K.grid is not self.Sigma.grid and self.K.grid.shape != self.Sigma.grid.shape:
+        if not _same_lattice(self.K.grid, self.Sigma.grid):
             raise ValueError("K and Sigma must live on the same grid")
         if (self.K.values < 0).any():
             raise ValueError("K must be nonnegative")

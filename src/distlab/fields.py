@@ -150,6 +150,18 @@ class Grid:
         return self.mask & (d2 < ball.radius**2)
 
 
+def _same_lattice(a: Grid, b: Grid) -> bool:
+    """Same shape, origin and spacing, up to the 1e-12 float tolerance the
+    field file format allows; the masks may differ."""
+
+    def close(x: float, y: float) -> bool:
+        return abs(x - y) <= 1e-12 * max(1.0, abs(y))
+
+    return a is b or (
+        a.shape == b.shape and close(a.spacing, b.spacing) and all(map(close, a.origin, b.origin))
+    )
+
+
 def _shift(arr: np.ndarray, axis: int, by: int) -> np.ndarray:
     """Shift with zero/False fill (no wrap-around)."""
     out = np.zeros_like(arr)

@@ -157,7 +157,7 @@ def _refuse_derivatives(monkeypatch):
 @pytest.mark.parametrize("flag", ["--kfield", "--sigmafield"])
 @pytest.mark.parametrize(
     "domain,res",
-    [(Ball((0.0, 0.0), 5.0), 64), (Ball((0.5, 0.0), 1.0), 64), (Ball((0.0, 0.0), 1.0), 32)],
+    [(Ball((0.0, 0.0), 5.0), 64), (Ball((0.1, 0.0), 0.6), 64), (Ball((0.0, 0.0), 0.6), 32)],
     ids=["spacing", "origin", "shape"],
 )
 def test_companion_field_on_another_grid_rejected(tmp_path, capsys, monkeypatch, flag, domain, res):
@@ -176,7 +176,7 @@ def test_companion_field_on_another_grid_rejected(tmp_path, capsys, monkeypatch,
 
 def test_companion_field_on_the_map_grid_accepted(tmp_path, capsys):
     out = _export_radial_log(tmp_path, capsys, res=32)
-    same = _field_on(tmp_path, "k2.json", Ball((0.0, 0.0), 1.0), 32, 2.0)
+    same = _field_on(tmp_path, "k2.json", Ball((0.0, 0.0), 0.6), 32, 2.0)  # radial_log's domain
     assert main(["analyze", str(out), "--kfield", same]) == 0
     assert json.loads(capsys.readouterr().out)["k_source"] == same
 
