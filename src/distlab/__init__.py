@@ -24,7 +24,6 @@ from .fields import (  # noqa: F401
 from .distribution import (  # noqa: F401
     StepDistribution,
     cavalieri_residual,
-    lower_distribution,
     neg_power_integral,
     pos_power_integral,
     upper_distribution,

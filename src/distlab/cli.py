@@ -295,33 +295,26 @@ def _cmd_gallery(plan: CommandPlan) -> int:
 
 
 def _read_companion(path: str | None, grid: Grid) -> np.ndarray | None:
-    """Full-box data of a --kfield/--sigmafield file (None without one),
-    checked to lie on the map's lattice before any derivative work."""
+    """Full-box data of a --kfield/--sigmafield file (None without one)."""
     if path is None:
         return None
     field = _read_scalar(path)
-    g = field.grid
-    if not _same_lattice(g, grid):
-        raise _Failure(
-            f"{path}: grid (shape {list(g.shape)}, origin {list(g.origin)}, spacing {g.spacing!r}) "
-            f"does not match the map grid (shape {list(grid.shape)}, origin {list(grid.origin)}, "
-            f"spacing {grid.spacing!r})",
-            1,
-        )
+    if not _same_lattice(field.grid, grid):
+        theirs, mine = ((list(g.shape), list(g.origin), g.spacing) for g in (field.grid, grid))
+        raise _Failure(f"{path}: grid (shape, origin, spacing) {theirs} is not the map's {mine}", 1)
     return field.data
 
 
-def _distortion_data(opts: dict, vm: VectorMap, kdata, sdata) -> DistortionData:
-    """K (default 1) and Sigma (default: the minimal defect for K) on the map's grid."""
+def _distortion_data(opts: dict, vm: VectorMap) -> DistortionData:
+    """K from --kfield (default 1) and Sigma from --sigmafield (default: the
+    minimal defect for K); both files are checked before any derivative work."""
     grid = vm.grid
-    if kdata is None:
-        K = ScalarField.from_values(grid, np.ones(grid.cell_count), nonnegative=True)
-    else:
-        K = ScalarField(grid, kdata, nonnegative=True)
+    kdata = _read_companion(opts["kfield"], grid)
+    sdata = _read_companion(opts["sigmafield"], grid)
+    K = ScalarField(grid, np.where(grid.mask, 1.0, np.nan) if kdata is None else kdata, nonnegative=True)
     if sdata is None:
-        S = residual_defect(vm, K)
-    else:
-        S = ScalarField(grid, sdata, nonnegative=True, allow_infinite=True)
+        return DistortionData(K, residual_defect(vm, K), opts["p"], opts["q"])
+    S = ScalarField(grid, sdata, nonnegative=True, allow_infinite=True)
     return DistortionData(K, S, opts["p"], opts["q"])
 
 
@@ -329,19 +322,15 @@ def _cmd_analyze(plan: CommandPlan) -> int:
     opts = plan.options
     vm = _read_map(opts["map"])
     grid = vm.grid
-    kdata = _read_companion(opts["kfield"], grid)
-    sdata = _read_companion(opts["sigmafield"], grid)
-    data = _distortion_data(opts, vm, kdata, sdata)
-    k_source = "default: K = 1" if kdata is None else opts["kfield"]
-    s_source = "default: minimal defect for the given K" if sdata is None else opts["sigmafield"]
+    data = _distortion_data(opts, vm)
     rep = verify_distortion(vm, data, y0=opts["y0"], rel_tol=opts["rel_tol"])
     if opts["violations_out"]:
         with open(opts["violations_out"], "w") as fh:
             fh.write(violations_csv(rep))
     doc = rep.as_dict()
     doc["admissible"] = data.admissible
-    doc["k_source"] = k_source
-    doc["sigma_source"] = s_source
+    doc["k_source"] = opts["kfield"] or "default: K = 1"
+    doc["sigma_source"] = opts["sigmafield"] or "default: minimal defect for the given K"
     doc["provenance"] = _provenance(grid)
     _emit_json(plan, doc)
     return 0
@@ -484,8 +473,6 @@ def _cmd_monotonicity(plan: CommandPlan) -> int:
             raise _Failure("--chain needs a map file (components)", 1)
         if opts["chain_ball"] is None:
             raise _Failure("--chain needs --chain-ball R", 1)
-        kdata = _read_companion(opts["kfield"], grid)
-        sdata = _read_companion(opts["sigmafield"], grid)
         ball = Ball(center, opts["chain_ball"])
         comp = obj.component(opts["component"])
         ext = ball_extrema(comp, ball, opts["samples"])
@@ -493,7 +480,7 @@ def _cmd_monotonicity(plan: CommandPlan) -> int:
         if level is None:
             level = ext.boundary_max if opts["mode"] == "above" else ext.boundary_min
         sub = obj.restrict(grid.ball_mask(ball))
-        data = _distortion_data(opts, sub, kdata, sdata)
+        data = _distortion_data(opts, sub)
         ledger = sup_bound_chain(
             sub, data, opts["component"], level, opts["mode"], gamma=opts["gamma"]
         )

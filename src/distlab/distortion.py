@@ -332,12 +332,7 @@ def normalize_low_distortion(data: DistortionData) -> DistortionData:
     """
     grid = data.K.grid
     K2 = _as_field(grid, np.maximum(1.0, 2.0 * data.K.data), nonnegative=True)
-    S4 = ScalarField(
-        grid,
-        np.where(grid.mask, 4.0 * data.Sigma.data, np.nan),
-        nonnegative=True,
-        allow_infinite=data.Sigma.allow_infinite,
-    )
+    S4 = _as_field(grid, 4.0 * data.Sigma.data, nonnegative=True, allow_infinite=data.Sigma.allow_infinite)
     return DistortionData(K2, S4, data.p, data.q)
 
 

@@ -26,7 +26,6 @@ from .fields import ScalarField, integrate
 __all__ = [
     "StepDistribution",
     "upper_distribution",
-    "lower_distribution",
     "cavalieri_residual",
     "verify_level_bounds",
     "LevelBoundReport",
@@ -44,17 +43,14 @@ class StepDistribution:
 
     ``levels`` are the strictly increasing distinct sample values,
     ``counts`` the number of cells at each level, ``cell_volume`` the atom
-    mass h^dim.  ``kind`` selects which convention ``__call__`` uses.
+    mass h^dim.
     """
 
     levels: np.ndarray
     counts: np.ndarray
     cell_volume: float
-    kind: str = "upper"
 
     def __post_init__(self):
-        if self.kind not in ("upper", "lower"):
-            raise ValueError("kind must be 'upper' or 'lower'")
         if len(self.levels) != len(self.counts) or len(self.levels) == 0:
             raise ValueError("levels/counts mismatch")
         if not np.all(np.diff(self.levels) > 0):
@@ -91,26 +87,19 @@ class StepDistribution:
         out = self._tail_counts[idx] * self.cell_volume
         return float(out) if np.isscalar(t) else out
 
-    def __call__(self, t):
-        return self.mu_plus(t) if self.kind == "upper" else self.mu_minus(t)
+    def _level_mu(self) -> tuple[np.ndarray, np.ndarray]:
+        """mu_plus and mu_minus at each level, i.e. on every cell of it."""
+        tails = self._tail_counts * self.cell_volume
+        return tails[:-1], tails[1:]
 
 
-def _distribution(field: ScalarField, kind: str) -> StepDistribution:
+def upper_distribution(field: ScalarField) -> StepDistribution:
+    """Levels and counts of a nonnegative sampled field."""
     vals = field.values
     if (vals < 0).any():
         raise ValueError("distribution functions require a nonnegative field")
     levels, counts = np.unique(vals, return_counts=True)
-    return StepDistribution(levels, counts, field.grid.cell_volume, kind)
-
-
-def upper_distribution(field: ScalarField) -> StepDistribution:
-    """Step representation evaluating as mu_plus by default."""
-    return _distribution(field, "upper")
-
-
-def lower_distribution(field: ScalarField) -> StepDistribution:
-    """Step representation evaluating as mu_minus by default."""
-    return _distribution(field, "lower")
+    return StepDistribution(levels, counts, field.grid.cell_volume)
 
 
 def cavalieri_residual(field: ScalarField) -> tuple[float, float, float]:
@@ -120,12 +109,10 @@ def cavalieri_residual(field: ScalarField) -> tuple[float, float, float]:
     dist = upper_distribution(field)
     total_int = integrate(field)
     # area under mu_plus via its step segments (Abel summation)
-    lv = dist.levels
-    tails = dist._tail_counts[: len(lv)] * dist.cell_volume
-    prev = np.concatenate([[0.0], lv[:-1]])
-    area_upper = float(((lv - prev) * tails).sum())
+    tails, _ = dist._level_mu()
+    area_upper = float((np.diff(dist.levels, prepend=0.0) * tails).sum())
     # area under mu_minus via the per-level layer cake
-    area_lower = float((dist.masses * lv).sum())
+    area_lower = float((dist.masses * dist.levels).sum())
     return total_int, area_upper, area_lower
 
 
@@ -149,16 +136,15 @@ def verify_level_bounds(field: ScalarField, a_values) -> list[LevelBoundReport]:
     every field and every a in [0, total]; a violation indicates a bug.
     """
     dist = upper_distribution(field)
-    vals = field.values
     hvol = dist.cell_volume
-    mu_minus_of = dist.mu_minus(vals)
-    mu_plus_of = dist.mu_plus(vals)
+    mu_plus_of, mu_minus_of = dist._level_mu()
     reports = []
     for a in np.atleast_1d(np.asarray(a_values, dtype=float)):
         if a < 0 or a > dist.total:
             raise ValueError(f"a = {a} outside [0, {dist.total}]")
-        lower_meas = int((mu_minus_of <= a).sum()) * hvol
-        upper_meas = int((mu_plus_of < a).sum()) * hvol
+        # cell counts: sums of the level counts over the levels that pass
+        lower_meas = int(dist.counts[mu_minus_of <= a].sum()) * hvol
+        upper_meas = int(dist.counts[mu_plus_of < a].sum()) * hvol
         reports.append(
             LevelBoundReport(
                 a=float(a),
@@ -208,22 +194,18 @@ def neg_power_integral(field: ScalarField, gamma: float, which: str) -> PowerInt
         raise ValueError("upper version needs gamma < 1 for a finite bound")
 
     dist = upper_distribution(field)
-    vals = field.values
     hvol = dist.cell_volume
     bound = dist.total ** (1.0 - gamma) / (1.0 - gamma) if gamma < 1 else math.inf
+    mu_plus, mu_minus = dist._level_mu()
 
     if which == "upper":
-        mu = dist.mu_plus(vals)
-        value = float((mu**-gamma).sum() * hvol)
+        value = float((dist.counts * mu_plus**-gamma).sum() * hvol)
         holds = value <= bound * (1 + _REL_SLACK)
         return PowerIntegralResult(value, bound, "<=", bool(holds))
 
-    mu = dist.mu_minus(vals)
-    top = mu == 0.0
-    value = math.inf if top.any() else float((mu**-gamma).sum() * hvol)
-    trimmed = float((mu[~top] ** -gamma).sum() * hvol)
-    holds = value >= bound * (1 - _REL_SLACK)
-    return PowerIntegralResult(value, bound, ">=", bool(holds), trimmed_value=trimmed)
+    # mu_minus is 0 exactly at the top level, so the value is +inf >= bound
+    trimmed = float((dist.counts[:-1] * mu_minus[:-1] ** -gamma).sum() * hvol)
+    return PowerIntegralResult(math.inf, bound, ">=", True, trimmed_value=trimmed)
 
 
 def pos_power_integral(field: ScalarField, r: float, which: str) -> PowerIntegralResult:
@@ -235,14 +217,14 @@ def pos_power_integral(field: ScalarField, r: float, which: str) -> PowerIntegra
         raise ValueError("which must be 'upper' or 'lower'")
 
     dist = upper_distribution(field)
-    vals = field.values
     hvol = dist.cell_volume
     bound = dist.total ** (1.0 + r) / (1.0 + r)
+    mu_plus, mu_minus = dist._level_mu()
     if which == "upper":
-        value = float((dist.mu_plus(vals) ** r).sum() * hvol)
+        value = float((dist.counts * mu_plus**r).sum() * hvol)
         holds = value >= bound * (1 - _REL_SLACK)
         return PowerIntegralResult(value, bound, ">=", bool(holds))
-    value = float((dist.mu_minus(vals) ** r).sum() * hvol)
+    value = float((dist.counts * mu_minus**r).sum() * hvol)
     holds = value <= bound * (1 + _REL_SLACK)
     return PowerIntegralResult(value, bound, "<=", bool(holds))
 

@@ -64,8 +64,7 @@ def field_document(obj: ScalarField | VectorMap) -> dict:
 
 
 def _payload(doc: dict, shape: tuple[int, ...]) -> dict:
-    """The named value lists of the document, with their lengths checked in
-    integer arithmetic, so a tiny document cannot request a huge grid."""
+    """The document's value lists by name, lengths checked before any grid."""
     has_values = "values" in doc
     if has_values == ("components" in doc):
         raise FieldFormatError("document must carry exactly one of 'values' or 'components'")
@@ -76,7 +75,7 @@ def _payload(doc: dict, shape: tuple[int, ...]) -> dict:
         if not isinstance(comps, list) or len(comps) != len(shape):
             raise FieldFormatError(f"need exactly {len(shape)} components")
         payload = {f"components[{i}]": comp for i, comp in enumerate(comps)}
-    n = math.prod(shape)
+    n = math.prod(shape)  # integer arithmetic: a tiny document cannot request a huge grid
     for name, arr in payload.items():
         if not isinstance(arr, list) or len(arr) != n:
             raise FieldFormatError(f"{name} must be a row-major list of {n} entries")

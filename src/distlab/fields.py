@@ -151,15 +151,10 @@ class Grid:
 
 
 def _same_lattice(a: Grid, b: Grid) -> bool:
-    """Same shape, origin and spacing, up to the 1e-12 float tolerance the
-    field file format allows; the masks may differ."""
-
-    def close(x: float, y: float) -> bool:
-        return abs(x - y) <= 1e-12 * max(1.0, abs(y))
-
-    return a is b or (
-        a.shape == b.shape and close(a.spacing, b.spacing) and all(map(close, a.origin, b.origin))
-    )
+    """Same shape, origin and spacing (to 1e-12, as in the field file
+    format); the masks may differ."""
+    pairs = [(a.spacing, b.spacing), *zip(a.origin, b.origin)]
+    return a.shape == b.shape and all(abs(x - y) <= 1e-12 * max(1.0, abs(y)) for x, y in pairs)
 
 
 def _shift(arr: np.ndarray, axis: int, by: int) -> np.ndarray:

@@ -249,7 +249,7 @@ def inverse_distribution_fn(field: ScalarField, gamma: float) -> MonotoneFn:
     dist = upper_distribution(field)
     if field.max() <= 0:
         raise ValueError("field is identically zero")
-    tails = dist._tail_counts[: len(dist.levels)] * dist.cell_volume
+    tails, _ = dist._level_mu()
     pieces = np.concatenate([tails**-gamma, [math.inf]])
     return MonotoneFn.step(dist.levels, pieces, value_at_infinity=math.inf)
 
@@ -261,15 +261,20 @@ def max_gap_deviation(F: MonotoneFn, result: StaircaseResult, probes_per_gap: in
     right endpoint) is exhaustive, so the returned deviation is exact.
     """
     pts = result.breakpoints
+    if F.kind == "step":
+        # gap i holds the jumps jumps[b[i-1]:b[i]], and F at a jump is its
+        # own piece value; the right endpoint adds 0 (or inf - inf, skipped)
+        b = np.searchsorted(F.jumps, pts, side="right")
+        if len(b) < 2:
+            return 0.0
+        ref = np.repeat(F(pts[1:]), np.diff(b))
+        with np.errstate(invalid="ignore"):
+            dev = np.abs(ref - F.piece_values[b[0] : b[-1]])
+        return float(np.max(dev[~np.isnan(dev)], initial=0.0))
     worst = 0.0
     for i in range(1, len(pts)):
         lo, hi = pts[i - 1], pts[i]
-        cands = [hi]
-        if F.kind == "step":
-            inside = F.jumps[(F.jumps > lo) & (F.jumps <= hi)]
-            cands.extend(inside.tolist())
-        else:
-            cands.extend(lo + (hi - lo) * np.linspace(0, 1, probes_per_gap + 1)[1:])
+        cands = [hi, *(lo + (hi - lo) * np.linspace(0, 1, probes_per_gap + 1)[1:])]
         ref = F(hi)
         for t in cands:
             dev = abs(ref - F(t))

@@ -11,7 +11,6 @@ from distlab.distribution import (
     cavalieri_residual,
     curves_csv,
     distribution_csv,
-    lower_distribution,
     neg_power_integral,
     pos_power_integral,
     upper_distribution,
@@ -289,6 +288,66 @@ def test_pos_power_ordering_property(seed, quantized, r):
     assert up.value >= up.bound * (1 - 1e-12)
 
 
+def exactness_fields():
+    """A tie-free cone on the unit disk and two quantized random fields."""
+    g = build_grid(UNIT_DISK, 64)
+    cone_field = sample(g, cone)
+    square = build_grid(UNIT_SQUARE, 40)
+    return [cone_field, random_field(square, 11, quantized=True), random_field(square, 12, quantized=True)]
+
+
+def per_cell_power_integral(field, x, which):
+    """(value, trimmed) summed cell by cell from mu_plus/mu_minus(field.values)."""
+    dist = upper_distribution(field)
+    hvol = dist.cell_volume
+    mu = dist.mu_plus(field.values) if which == "upper" else dist.mu_minus(field.values)
+    keep = mu > 0.0
+    value = float((mu**x).sum() * hvol) if keep.all() or x > 0 else math.inf
+    return value, float((mu[keep] ** x).sum() * hvol)
+
+
+def _close(a, b):
+    return a == b or abs(a - b) <= 1e-13 * abs(b)
+
+
+def _holds(value, bound, relation):
+    return value <= bound * (1 + 1e-12) if relation == "<=" else value >= bound * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("field", exactness_fields(), ids=["tie-free", "quantized-11", "quantized-12"])
+def test_power_integrals_match_per_cell_sums(field):
+    for gamma in (0.25, 0.5, 0.75, 1.0, 1.5):
+        for which in ("upper", "lower") if gamma < 1 else ("lower",):
+            res = neg_power_integral(field, gamma, which)
+            value, trimmed = per_cell_power_integral(field, -gamma, which)
+            assert _close(res.value, value)
+            assert res.holds == _holds(value, res.bound, res.relation)
+            if which == "lower":
+                assert res.value == math.inf
+                assert _close(res.trimmed_value, trimmed)
+    for r in (0.5, 1.0, 2.0):
+        for which in ("upper", "lower"):
+            res = pos_power_integral(field, r, which)
+            value, _ = per_cell_power_integral(field, r, which)
+            assert _close(res.value, value)
+            assert res.holds == _holds(value, res.bound, res.relation)
+
+
+@pytest.mark.parametrize("field", exactness_fields(), ids=["tie-free", "quantized-11", "quantized-12"])
+def test_level_bound_measures_equal_per_cell_counts(field):
+    dist = upper_distribution(field)
+    hvol = dist.cell_volume
+    vals = field.values
+    mu_minus, mu_plus = dist.mu_minus(vals), dist.mu_plus(vals)
+    total = dist.total
+    # a at the quarters and exactly at attained measures, where < and <= differ
+    a_values = [0.0, total / 4, total / 2, 3 * total / 4, total, *mu_plus[::97], *mu_minus[::89]]
+    for rep in verify_level_bounds(field, a_values):
+        assert rep.lower_set_measure == int((mu_minus <= rep.a).sum()) * hvol
+        assert rep.upper_set_measure == int((mu_plus < rep.a).sum()) * hvol
+        assert rep.holds
+
+
 # --------------------------------------------------------------------- export
 
 
@@ -309,7 +368,6 @@ def test_csv_exports_round_numbers():
 def test_lower_distribution_kind():
     g = build_grid(UNIT_SQUARE, 4)
     f = ScalarField.from_values(g, np.full(g.cell_count, 1.0))
-    lo = lower_distribution(f)
-    assert lo(1.0) == 0.0
-    up = upper_distribution(f)
-    assert up(1.0) == pytest.approx(g.measure)
+    dist = upper_distribution(f)
+    assert dist.mu_minus(1.0) == 0.0
+    assert dist.mu_plus(1.0) == pytest.approx(g.measure)

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 from distlab.fields import Ball, Box, ScalarField, build_grid, sample
 from distlab.staircase import (
     MonotoneFn,
+    StaircaseResult,
     inverse_distribution_fn,
     inverse_distribution_staircase,
     max_gap_deviation,
@@ -121,6 +122,70 @@ def test_prefix_determinism(seed):
     long = staircase_approx(F, eps, 16)
     k = len(short.breakpoints)
     assert np.array_equal(short.breakpoints, long.breakpoints[:k])
+
+
+def reference_max_gap_deviation(F, result):
+    """The per-jump scan that max_gap_deviation ran on step functions before
+    it became one array expression; kept as the exact reference."""
+    pts = result.breakpoints
+    worst = 0.0
+    for i in range(1, len(pts)):
+        lo, hi = pts[i - 1], pts[i]
+        cands = [hi]
+        inside = F.jumps[(F.jumps > lo) & (F.jumps <= hi)]
+        cands.extend(inside.tolist())
+        ref = F(hi)
+        for t in cands:
+            dev = abs(ref - F(t))
+            if dev > worst:
+                worst = float(dev)
+    return worst
+
+
+@st.composite
+def step_functions(draw):
+    """Step functions with ties, jumps taller than any epsilon used below,
+    jumps at t = 0 and, optionally, +inf final pieces (more than one makes
+    inf - inf inside a gap)."""
+    jumps = sorted(set(draw(st.lists(st.floats(0.0, 10.0), max_size=30))))
+    rises = st.sampled_from([0.0, 0.0, 0.05, 0.3, 1.0, 7.5]) | st.floats(0.0, 3.0)
+    pieces = np.cumsum(draw(st.lists(rises, min_size=len(jumps) + 1, max_size=len(jumps) + 1)))
+    n_inf = draw(st.integers(0, min(3, len(jumps))))
+    if n_inf:
+        pieces[-n_inf:] = math.inf
+        return MonotoneFn.step(jumps, pieces, value_at_infinity=math.inf)
+    return MonotoneFn.step(jumps, pieces)
+
+
+@given(F=step_functions(), eps=st.sampled_from([0.01, 0.1, 0.5, 2.0]), steps=st.integers(1, 40))
+@settings(max_examples=150, deadline=None)
+def test_gap_deviation_matches_per_jump_scan_on_staircases(F, eps, steps):
+    res = staircase_approx(F, eps, steps)
+    assert max_gap_deviation(F, res) == reference_max_gap_deviation(F, res)
+
+
+@given(F=step_functions(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_gap_deviation_matches_per_jump_scan_on_any_breakpoints(F, data):
+    # breakpoints on and between the jumps, and past the last one, where an
+    # inf final piece makes inf - inf at the right endpoint
+    on_jumps = st.sampled_from(list(F.jumps) or [1.0])
+    picks = data.draw(st.lists(on_jumps | st.floats(0.0, 12.0), max_size=20))
+    pts = np.unique([0.0, *picks])
+    res = StaircaseResult(pts, float(pts[-1]), "interior", 1.0)
+    assert max_gap_deviation(F, res) == reference_max_gap_deviation(F, res)
+
+
+@pytest.mark.parametrize("quantized", [False, True], ids=["tie-free", "quantized"])
+def test_gap_deviation_exact_on_sampled_fields(quantized):
+    g = build_grid(UNIT_DISK, 64)
+    vals = sample(g, cone).values
+    if quantized:
+        vals = np.round(vals * 16) / 16
+    F = inverse_distribution_fn(ScalarField.from_values(g, vals), 0.5)
+    for eps in (0.01, 0.4):
+        res = staircase_approx(F, eps, 64)
+        assert max_gap_deviation(F, res) == reference_max_gap_deviation(F, res)
 
 
 # ----------------------------------------------- inverse distribution version
