@@ -137,14 +137,14 @@ def verify_level_bounds(field: ScalarField, a_values) -> list[LevelBoundReport]:
     """
     dist = upper_distribution(field)
     hvol = dist.cell_volume
-    mu_plus_of, mu_minus_of = dist._level_mu()
+    mu_plus, mu_minus = dist._level_mu()
     reports = []
     for a in np.atleast_1d(np.asarray(a_values, dtype=float)):
         if a < 0 or a > dist.total:
             raise ValueError(f"a = {a} outside [0, {dist.total}]")
         # cell counts: sums of the level counts over the levels that pass
-        lower_meas = int(dist.counts[mu_minus_of <= a].sum()) * hvol
-        upper_meas = int(dist.counts[mu_plus_of < a].sum()) * hvol
+        lower_meas = int(dist.counts[mu_minus <= a].sum()) * hvol
+        upper_meas = int(dist.counts[mu_plus < a].sum()) * hvol
         reports.append(
             LevelBoundReport(
                 a=float(a),
