@@ -125,8 +125,10 @@ def _parse_array(grid: Grid, arr: list, name: str) -> np.ndarray:
         if not m:
             cell = np.unravel_index(idx, grid.shape)
             raise FieldFormatError(f"{name}: value at unmasked cell {tuple(int(c) for c in cell)}")
-        # JSON strings and true/false (bool is an int subclass) are not numbers
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        # JSON strings and true/false (bool is an int subclass) are not
+        # numbers; the exact float test first keeps the common case cheap
+        number = type(v) is float or isinstance(v, (int, float)) and not isinstance(v, bool)
+        if not number or not math.isfinite(v):
             cell = np.unravel_index(idx, grid.shape)
             raise FieldFormatError(f"{name}: {v!r} at cell {tuple(int(c) for c in cell)} is not a finite number")
         out[idx] = v
