@@ -127,6 +127,20 @@ def test_non_numeric_entries_rejected(bad, key):
         field_from_document(doc)
 
 
+@pytest.mark.parametrize("where", ["values", "origin", "spacing"])
+def test_integer_beyond_float_range_rejected(where):
+    # json.loads turns a 400-digit literal into an int that float() cannot hold
+    g = build_grid(Box((0.0, 0.0), (1.0, 1.0)), 4)
+    doc = field_document(ScalarField.from_values(g, np.zeros(g.cell_count)))
+    if where == "spacing":
+        doc["spacing"] = "BIG"
+    else:
+        doc[where][0] = "BIG"
+    text = json.dumps(doc).replace('"BIG"', "1" + "0" * 400)
+    with pytest.raises(FieldFormatError):
+        field_from_document(json.loads(text))
+
+
 def test_integer_entries_accepted():
     g = build_grid(Box((0.0, 0.0), (1.0, 1.0)), 4)
     doc = field_document(ScalarField.from_values(g, np.zeros(g.cell_count)))
