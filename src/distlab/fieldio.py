@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -22,6 +23,9 @@ __all__ = [
     "write_field",
     "read_field",
 ]
+
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class FieldFormatError(ValueError):
@@ -89,7 +93,7 @@ def _rebuild_grid(doc: dict) -> tuple[Grid, dict]:
         origin = tuple(float(x) for x in doc["origin"])
         spacing = float(doc["spacing"])
         domain = doc["domain"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FieldFormatError(f"missing or malformed geometry key: {exc}") from exc
     if len(shape) != dim or len(origin) != dim:
         raise FieldFormatError("shape/origin length does not match dim")
@@ -100,7 +104,7 @@ def _rebuild_grid(doc: dict) -> tuple[Grid, dict]:
         ball = domain["ball"]
         try:
             dom = Ball(tuple(float(c) for c in ball["center"]), float(ball["radius"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FieldFormatError("malformed ball domain") from exc
     else:
         raise FieldFormatError(f"unknown domain descriptor {domain!r}")
@@ -126,9 +130,10 @@ def _parse_array(grid: Grid, arr: list, name: str) -> np.ndarray:
             cell = np.unravel_index(idx, grid.shape)
             raise FieldFormatError(f"{name}: value at unmasked cell {tuple(int(c) for c in cell)}")
         # JSON strings and true/false (bool is an int subclass) are not
-        # numbers; the exact float test first keeps the common case cheap
+        # numbers; the exact float test first keeps the common case cheap.
+        # The range test also rejects nan, inf and ints float() cannot hold
         number = type(v) is float or isinstance(v, (int, float)) and not isinstance(v, bool)
-        if not number or not math.isfinite(v):
+        if not number or not -_FLOAT_MAX <= v <= _FLOAT_MAX:
             cell = np.unravel_index(idx, grid.shape)
             raise FieldFormatError(f"{name}: {v!r} at cell {tuple(int(c) for c in cell)} is not a finite number")
         out[idx] = v
