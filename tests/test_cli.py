@@ -174,6 +174,19 @@ def test_companion_field_on_another_grid_rejected(tmp_path, capsys, monkeypatch,
         assert "grid" in captured.err
 
 
+@pytest.mark.parametrize("flag", ["--kfield", "--sigmafield"])
+def test_companion_field_missing_map_cells_rejected(tmp_path, capsys, monkeypatch, flag):
+    # same lattice, but the file's ball mask leaves out the corners of the map's box
+    g = build_grid(Box((-0.6, -0.6), (0.6, 0.6)), 32)
+    out = tmp_path / "box.json"
+    write_field(sample(g, lambda p: p), out)
+    other = _field_on(tmp_path, "ball.json", Ball((0.0, 0.0), 0.6), 32, 2.0)
+    _refuse_derivatives(monkeypatch)
+    assert main(["analyze", str(out), flag, other]) == 1
+    err = capsys.readouterr().err
+    assert other in err and "cells" in err
+
+
 def test_companion_field_on_the_map_grid_accepted(tmp_path, capsys):
     out = _export_radial_log(tmp_path, capsys, res=32)
     same = _field_on(tmp_path, "k2.json", Ball((0.0, 0.0), 0.6), 32, 2.0)  # radial_log's domain
