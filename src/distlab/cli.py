@@ -302,6 +302,9 @@ def _read_companion(path: str | None, grid: Grid) -> np.ndarray | None:
     if not _same_lattice(field.grid, grid):
         theirs, mine = ((list(g.shape), list(g.origin), g.spacing) for g in (field.grid, grid))
         raise _Failure(f"{path}: grid (shape, origin, spacing) {theirs} is not the map's {mine}", 1)
+    missing = int((grid.mask & ~field.grid.mask).sum())
+    if missing:
+        raise _Failure(f"{path}: no value at {missing} of the map's {grid.cell_count} cells", 1)
     return field.data
 
 
