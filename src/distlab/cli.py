@@ -315,9 +315,7 @@ def _distortion_data(opts: dict, vm: VectorMap) -> DistortionData:
     kdata = _read_companion(opts["kfield"], grid)
     sdata = _read_companion(opts["sigmafield"], grid)
     K = ScalarField(grid, np.where(grid.mask, 1.0, np.nan) if kdata is None else kdata, nonnegative=True)
-    if sdata is None:
-        return DistortionData(K, residual_defect(vm, K), opts["p"], opts["q"])
-    S = ScalarField(grid, sdata, nonnegative=True, allow_infinite=True)
+    S = residual_defect(vm, K) if sdata is None else ScalarField(grid, sdata, nonnegative=True, allow_infinite=True)
     return DistortionData(K, S, opts["p"], opts["q"])
 
 

@@ -121,22 +121,23 @@ def _parse_array(grid: Grid, arr: list, name: str) -> np.ndarray:
     flat_mask = grid.mask.reshape(-1)
     out = np.full(len(arr), np.nan)
     for idx, (v, m) in enumerate(zip(arr, flat_mask)):
-        if v is None:
-            if m:
-                cell = np.unravel_index(idx, grid.shape)
-                raise FieldFormatError(f"{name}: null at masked cell {tuple(int(c) for c in cell)}")
+        if v is None and not m:
             continue
-        if not m:
-            cell = np.unravel_index(idx, grid.shape)
-            raise FieldFormatError(f"{name}: value at unmasked cell {tuple(int(c) for c in cell)}")
         # JSON strings and true/false (bool is an int subclass) are not
         # numbers; the exact float test first keeps the common case cheap.
         # The range test also rejects nan, inf and ints float() cannot hold
         number = type(v) is float or isinstance(v, (int, float)) and not isinstance(v, bool)
-        if not number or not -_FLOAT_MAX <= v <= _FLOAT_MAX:
-            cell = np.unravel_index(idx, grid.shape)
-            raise FieldFormatError(f"{name}: {v!r} at cell {tuple(int(c) for c in cell)} is not a finite number")
-        out[idx] = v
+        if m and number and -_FLOAT_MAX <= v <= _FLOAT_MAX:
+            out[idx] = v
+            continue
+        if v is None:
+            problem = "null at masked cell"
+        elif not m:
+            problem = "value at unmasked cell"
+        else:
+            problem = f"{v!r} is not a finite number at cell"
+        cell = tuple(int(c) for c in np.unravel_index(idx, grid.shape))
+        raise FieldFormatError(f"{name}: {problem} {cell}")
     return out.reshape(grid.shape)
 
 
