@@ -255,6 +255,32 @@ def test_chain_nondegenerate_bump_map():
     assert e["sup_phi"] == pytest.approx(ext.interior_max - ext.boundary_max, rel=1e-9)
 
 
+def test_chain_superlevel_step_holds_on_3d_bump():
+    # identity on [-1,1]^3 plus a bump on the first coordinate, K = 2 on the
+    # ball of radius 0.75; the bump's centre and amplitude are arbitrary
+    c, amp = np.array([0.0197, 0.0387, 0.0472]), 1.1327
+
+    def bumped(p):
+        r2 = ((p - c) ** 2).sum(axis=-1) / 0.25
+        b = np.zeros(len(p))
+        inside = r2 < 1.0
+        b[inside] = amp * np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
+        return np.stack([p[..., 0] + b, p[..., 1], p[..., 2]], axis=-1)
+
+    g = build_grid(Box((-1.0,) * 3, (1.0,) * 3), 48)
+    vm = sample(g, bumped)
+    ball = Ball((0.0, 0.0, 0.0), 0.75)
+    ext = ball_extrema(vm.component(0), ball)
+    vms = vm.restrict(ball)
+    K = ScalarField.from_values(vms.grid, np.full(vms.grid.cell_count, 2.0), nonnegative=True)
+    data = DistortionData(K, residual_defect(vms, K), 4.0, 4.0)
+    led = sup_bound_chain(vms, data, 0, ext.boundary_max, "above")
+    assert not led.trivial
+    a = led.check("a_superlevel")
+    assert a.holds, a.lhs / a.rhs
+    assert led.holds_all
+
+
 def test_chain_gallery_maps_trivial_and_true():
     for name, kw in (("winding", {"k": 2}), ("radial_log", {})):
         ex = make_example(name, **kw)
