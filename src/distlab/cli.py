@@ -34,7 +34,7 @@ from .distribution import (
     verify_level_bounds,
 )
 from .fieldio import FieldFormatError, read_field, write_field
-from .fields import Ball, Grid, ScalarField, VectorMap, _same_lattice, interpolate
+from .fields import Ball, Grid, ScalarField, VectorMap, _as_field, _same_lattice, interpolate
 from .gallery import (
     list_examples,
     make_example,
@@ -314,7 +314,7 @@ def _distortion_data(opts: dict, vm: VectorMap) -> DistortionData:
     grid = vm.grid
     kdata = _read_companion(opts["kfield"], grid)
     sdata = _read_companion(opts["sigmafield"], grid)
-    K = ScalarField(grid, np.where(grid.mask, 1.0, np.nan) if kdata is None else kdata, nonnegative=True)
+    K = _as_field(grid, 1.0 if kdata is None else kdata, nonnegative=True)
     S = residual_defect(vm, K) if sdata is None else ScalarField(grid, sdata, nonnegative=True, allow_infinite=True)
     return DistortionData(K, S, opts["p"], opts["q"])
 

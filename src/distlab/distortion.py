@@ -24,6 +24,7 @@ import numpy as np
 
 from .fields import (
     ScalarField,
+    _as_field,
     VectorMap,
     _same_lattice,
     boundary_support_ok,
@@ -50,10 +51,6 @@ __all__ = [
 
 _J_GATE = 1e-12  # J > gate * |Df|^n defines the pointwise quotient
 _PT_TOL = 1e-9  # relative float tolerance of the cellwise inequality
-
-
-def _as_field(grid, arr, **kw) -> ScalarField:
-    return ScalarField(grid, np.where(grid.mask, arr, np.nan), **kw)
 
 
 @dataclass(frozen=True, eq=False)

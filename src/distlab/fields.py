@@ -256,14 +256,18 @@ class ScalarField:
         """Field restricted to a sub-domain (ball or boolean mask)."""
         submask = self.grid.ball_mask(where) if isinstance(where, Ball) else where
         sub = self.grid.with_mask(submask)
-        data = np.where(submask, self.data, np.nan)
-        return ScalarField(sub, data, self.nonnegative, self.allow_infinite)
+        return _as_field(sub, self.data, nonnegative=self.nonnegative, allow_infinite=self.allow_infinite)
 
     def max(self) -> float:
         return float(self.values.max())
 
     def min(self) -> float:
         return float(self.values.min())
+
+
+def _as_field(grid: Grid, arr, **kw) -> ScalarField:
+    """ScalarField holding ``arr`` on the mask and NaN off it."""
+    return ScalarField(grid, np.where(grid.mask, arr, np.nan), **kw)
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,7 +284,7 @@ class VectorMap:
             raise ValueError("map values must be finite on the mask")
 
     def component(self, i: int) -> ScalarField:
-        return ScalarField(self.grid, np.where(self.grid.mask, self.data[..., i], np.nan))
+        return _as_field(self.grid, self.data[..., i])
 
     @property
     def components(self) -> tuple[ScalarField, ...]:
@@ -337,54 +341,62 @@ def sample(grid: Grid, evaluator: Callable) -> ScalarField | VectorMap:
     return VectorMap(grid, data)
 
 
-def _axis_derivative(grid: Grid, data: np.ndarray, axis: int) -> np.ndarray:
-    """Central difference where both neighbors are masked, one-sided at the
-    mask boundary.  Exact on affine inputs either way."""
+def _axis_derivative(grid: Grid, comps: Sequence[np.ndarray], axis: int, planes: np.ndarray) -> None:
+    """Write d comps[k] / dx_axis into ``planes[k]`` (NaN-filled): central
+    difference where both neighbors are masked, one-sided at the mask
+    boundary.  Exact on affine inputs either way.  The stencil masks depend
+    only on the axis, so they are built once for every component."""
     h = grid.spacing
     mask = grid.mask
-    filled = np.where(mask, data, 0.0)
-    lo_val = _shift(filled, axis, +1)  # value at index - 1
-    hi_val = _shift(filled, axis, -1)  # value at index + 1
     has_lo = _shift(mask, axis, +1)
     has_hi = _shift(mask, axis, -1)
-
-    both = mask & has_lo & has_hi
-    only_hi = mask & ~has_lo & has_hi
-    only_lo = mask & has_lo & ~has_hi
-    isolated = mask & ~has_lo & ~has_hi
-    if isolated.any():
+    if (mask & ~has_lo & ~has_hi).any():
         raise ValueError(f"isolated masked cell along axis {axis}: no neighbor for differences")
+    both = mask & has_lo & has_hi
+    only_hi = mask & ~has_lo
+    only_lo = mask & ~has_hi
 
-    out = np.full(grid.shape, np.nan)
-    out[both] = (hi_val[both] - lo_val[both]) / (2 * h)
-    out[only_hi] = (hi_val[only_hi] - filled[only_hi]) / h
-    out[only_lo] = (filled[only_lo] - lo_val[only_lo]) / h
+    def cut(start, stop):
+        idx = [slice(None)] * grid.dim
+        idx[axis] = slice(start, stop)
+        return tuple(idx)
+
+    mid, lower, upper = cut(1, -1), cut(None, -1), cut(1, None)
+    for f, plane in zip(comps, planes):
+        np.subtract(f[cut(2, None)], f[cut(None, -2)], out=plane[mid], where=both[mid])
+        np.divide(plane[mid], 2 * h, out=plane[mid], where=both[mid])
+        with np.errstate(invalid="ignore"):  # off-mask entries are never kept
+            step = f[upper] - f[lower]
+        np.divide(step, h, out=plane[lower], where=only_hi[lower])
+        np.divide(step, h, out=plane[upper], where=only_lo[upper])
+
+
+def _derivative(grid: Grid, comps: Sequence[np.ndarray]) -> np.ndarray:
+    """Difference derivative as contiguous planes: ``out[i, j]`` holds
+    d comps[i] / dx_j over the full box, NaN off the mask."""
+    out = np.full((len(comps), grid.dim) + grid.shape, np.nan)
+    for a in range(grid.dim):
+        _axis_derivative(grid, comps, a, out[:, a])
     return out
 
 
 def gradient(field: ScalarField) -> VectorMap:
     """Finite-difference gradient (surrogate for the weak gradient)."""
-    grid = field.grid
-    comps = [_axis_derivative(grid, field.data, a) for a in range(grid.dim)]
-    return VectorMap(grid, np.stack(comps, axis=-1))
+    return VectorMap(field.grid, np.moveaxis(_derivative(field.grid, [field.data])[0], 0, -1))
 
 
 def differential(vm: VectorMap) -> MatrixField:
-    """Row-wise finite-difference derivative matrix: D[i][j] = d f_i / d x_j."""
-    grid = vm.grid
-    d = grid.dim
-    rows = []
-    for i in range(d):
-        comps = [_axis_derivative(grid, vm.data[..., i], a) for a in range(d)]
-        rows.append(np.stack(comps, axis=-1))
-    return MatrixField(grid, np.stack(rows, axis=-2))
+    """Row-wise finite-difference derivative matrix: D[i][j] = d f_i / d x_j.
+    Each ``data[..., i, j]`` is a C-contiguous plane."""
+    comps = [vm.data[..., i] for i in range(vm.grid.dim)]
+    return MatrixField(vm.grid, np.moveaxis(_derivative(vm.grid, comps), (0, 1), (-2, -1)))
 
 
 def grad_norm(field: ScalarField) -> ScalarField:
     """Euclidean norm of the finite-difference gradient."""
     g = gradient(field)
     norm = np.sqrt((g.data**2).sum(axis=-1))
-    return ScalarField(field.grid, np.where(field.grid.mask, norm, np.nan), nonnegative=True)
+    return _as_field(field.grid, norm, nonnegative=True)
 
 
 def _sym3_eig_max(a11, a22, a33, a12, a13, a23):
@@ -427,7 +439,7 @@ def op_norm(mf: MatrixField) -> ScalarField:
 
         lam = _sym3_eig_max(g(0, 0), g(1, 1), g(2, 2), g(0, 1), g(0, 2), g(1, 2))
         smax = np.sqrt(np.maximum(lam, 0.0))
-    return ScalarField(grid, np.where(grid.mask, smax, np.nan), nonnegative=True)
+    return _as_field(grid, smax, nonnegative=True)
 
 
 def jacobian(mf: MatrixField) -> ScalarField:
@@ -442,7 +454,7 @@ def jacobian(mf: MatrixField) -> ScalarField:
             - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
             + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
         )
-    return ScalarField(grid, np.where(grid.mask, det, np.nan))
+    return _as_field(grid, det)
 
 
 def integrate(field: ScalarField) -> float:
@@ -458,8 +470,7 @@ def truncate(field: ScalarField, level: float, mode: str) -> ScalarField:
         data = np.maximum(level - field.data, 0.0)
     else:
         raise ValueError(f"mode must be 'above' or 'below', got {mode!r}")
-    data = np.where(field.grid.mask, data, np.nan)
-    return ScalarField(field.grid, data, nonnegative=True)
+    return _as_field(field.grid, data, nonnegative=True)
 
 
 def interpolate(field: ScalarField, points: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import upper_distribution
-from .fields import ScalarField, boundary_support_ok, grad_norm, integrate
+from .fields import ScalarField, _as_field, boundary_support_ok, grad_norm, integrate
 
 __all__ = [
     "TOL_REL",
@@ -101,7 +101,7 @@ def sharp_sobolev_check(field: ScalarField) -> InequalityReport:
     grid = field.grid
     n = grid.dim
     p = n / (n - 1.0)
-    absf = ScalarField(grid, np.where(grid.mask, np.abs(field.data) ** p, np.nan), nonnegative=True)
+    absf = _as_field(grid, np.abs(field.data) ** p, nonnegative=True)
     lhs = integrate(absf) ** (1.0 / p)
     rhs = isoperimetric_constant(n) * integrate(grad_norm(field))
     return _report("sharp_sobolev", field, lhs, rhs)
