@@ -26,11 +26,9 @@ from .fields import (
     VectorMap,
     boundary_support_ok,
     differential,
-    grad_norm,
     jacobian,
     sphere_points,
     sphere_trace,
-    interpolate,
     truncate,
 )
 from .sobolev import unit_ball_volume
@@ -49,7 +47,6 @@ __all__ = [
     "sup_bound_chain",
     "modulus_curve",
     "log_power_fit",
-    "sphere_morrey_ratio",
 ]
 
 CHAIN_TOL_REL = 0.02
@@ -337,16 +334,19 @@ def sup_bound_chain(
     if phi.max() == 0.0:
         return _trivial_ledger(entries)
 
-    signed = phi if mode == "above" else ScalarField(
-        grid, np.where(grid.mask, -phi.data, np.nan)
-    )
-    g = vm.with_component(i, signed)
+    # chain rule, for both modes: D phi = +-D f_i on {phi > 0} and 0 elsewhere,
+    # so |grad phi| and the Jacobian J_g of f with row i replaced by +-D phi
+    # (J_f on the support) come from one derivative of f, with no kink to
+    # difference across at the support boundary
+    D = differential(vm)
+    support = phi.values > 0
+    row = D.data[..., i, :][grid.mask]
+    gn = np.where(support, np.sqrt((row**2).sum(axis=-1)), 0.0)
+    Jg = np.where(support, jacobian(D).values, 0.0)
 
     hvol = grid.cell_volume
     dist = upper_distribution(phi)
     mu_of = dist.mu_plus(phi.values)
-    gn = grad_norm(phi).values
-    Jg = jacobian(differential(g)).values
 
     sup_phi = phi.max()
     sup_phi_n = sup_phi**n
@@ -477,25 +477,3 @@ def log_power_fit(curve) -> ModulusFit:
         r_range=(float(rs[usable].min()), float(rs[usable].max())),
         residual=resid,
     )
-
-
-def sphere_morrey_ratio(
-    field: ScalarField, center, r: float, p: float, samples: int = 256
-) -> float:
-    """Diagnostic ratio osc^p / (r^(p-(n-1)) * int_S |grad f|^p) on one
-    sphere.  No threshold is attached; the sphere-oscillation constant it
-    would calibrate is not pinned down."""
-    grid = field.grid
-    n = grid.dim
-    ball = Ball(tuple(float(c) for c in center), float(r))
-    trace = sphere_trace(field, ball, samples)
-    osc = float(trace.max() - trace.min())
-    gp = interpolate(
-        ScalarField(grid, np.where(grid.mask, grad_norm(field).data ** p, np.nan)),
-        sphere_points(ball, samples),
-    )
-    area = 2 * math.pi * r if n == 2 else 4 * math.pi * r**2
-    integral = float(gp.mean()) * area
-    if integral == 0.0:
-        return math.inf if osc > 0 else 0.0
-    return osc**p / (r ** (p - (n - 1.0)) * integral)

@@ -16,7 +16,6 @@ from distlab.monotonicity import (
     fit_defect_law,
     log_power_fit,
     modulus_curve,
-    sphere_morrey_ratio,
     sup_bound_chain,
 )
 
@@ -281,6 +280,25 @@ def test_chain_superlevel_step_holds_on_3d_bump():
     assert led.holds_all
 
 
+def test_chain_takes_one_derivative_pass(monkeypatch):
+    # |grad phi| and J_g both come from D f by the chain rule
+    from distlab import fields
+
+    passes = []
+
+    def counted(grid, comps, _fn=fields._derivative):
+        passes.append(len(comps))
+        return _fn(grid, comps)
+
+    vms, data, ext = chain_setup(res=128)
+    monkeypatch.setattr(fields, "_derivative", counted)
+    for mode in ("above", "below"):
+        passes.clear()
+        led = sup_bound_chain(vms, data, 0, ext.boundary_max, mode)
+        assert not led.trivial
+        assert passes == [2]
+
+
 def test_chain_gallery_maps_trivial_and_true():
     for name, kw in (("winding", {"k": 2}), ("radial_log", {})):
         ex = make_example(name, **kw)
@@ -377,10 +395,3 @@ def test_log_power_fit_needs_points():
         log_power_fit([(0.1, 0.5), (0.01, 0.4)])
     with pytest.raises(ValueError):
         log_power_fit([(0.1, 0.0), (0.01, 0.0), (0.001, 0.0)])
-
-
-def test_sphere_morrey_ratio_diagnostic():
-    f = cone_field(128)
-    ratio = sphere_morrey_ratio(f, ORIGIN, 0.4, p=3.0, samples=128)
-    assert math.isfinite(ratio)
-    assert ratio >= 0.0
