@@ -24,8 +24,8 @@ import numpy as np
 
 from .fields import (
     ScalarField,
-    _as_field,
     VectorMap,
+    _as_field,
     _same_lattice,
     boundary_support_ok,
     differential,

@@ -353,7 +353,7 @@ def _axis_derivative(grid: Grid, comps: Sequence[np.ndarray], axis: int, planes:
     if (mask & ~has_lo & ~has_hi).any():
         raise ValueError(f"isolated masked cell along axis {axis}: no neighbor for differences")
     both = mask & has_lo & has_hi
-    only_hi = mask & ~has_lo
+    only_hi = mask & ~has_lo  # no cell is isolated, so these have the other neighbor
     only_lo = mask & ~has_hi
 
     def cut(start, stop):

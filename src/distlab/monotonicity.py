@@ -334,10 +334,10 @@ def sup_bound_chain(
     if phi.max() == 0.0:
         return _trivial_ledger(entries)
 
-    # chain rule, for both modes: D phi = +-D f_i on {phi > 0} and 0 elsewhere,
-    # so |grad phi| and the Jacobian J_g of f with row i replaced by +-D phi
-    # (J_f on the support) come from one derivative of f, with no kink to
-    # difference across at the support boundary
+    # chain rule, for both modes: D phi = +-D f_i on {phi > 0} and 0 elsewhere.
+    # So |grad phi| is the norm of row i of D f there, and g = f with f_i
+    # replaced by +-phi (the sign of f_i - level) has J_g = J_f there: one
+    # derivative of f, and no difference taken across the kink of phi
     D = differential(vm)
     support = phi.values > 0
     row = D.data[..., i, :][grid.mask]
