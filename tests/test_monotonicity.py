@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from distlab import fields
 from distlab.distortion import DistortionData, residual_defect
 from distlab.fields import Ball, Box, ScalarField, build_grid, sample
 from distlab.gallery import make_example, sample_analytic_k, sample_map
@@ -282,8 +283,6 @@ def test_chain_superlevel_step_holds_on_3d_bump():
 
 def test_chain_takes_one_derivative_pass(monkeypatch):
     # |grad phi| and J_g both come from D f by the chain rule
-    from distlab import fields
-
     passes = []
 
     def counted(grid, comps, _fn=fields._derivative):
