@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Hash every README CLI report, side files included, for one source tree.
+
+    python3 scripts/report_digest.py SRC
+
+SRC is a checkout (or its ``src/`` directory).  The script exports the
+README fields at 256^2 with ``python -m distlab.cli`` from SRC into a
+temporary directory, runs the README commands there (plus side-file
+outputs, the chain's CSV form and the ``--y0``, ``--band`` and ``--level``
+options), and prints one ``exit sha256 command`` line per command and per
+side file.  Run it on two trees and diff the
+outputs: equal lines mean byte-identical reports.
+"""
+
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+RES = "256"
+RL_DATA = ["--kfield", "rl.k.json", "--sigmafield", "rl.sigma.json", "--p", "4", "--q", "4"]
+CHAIN = ["monotonicity", "rl.json", "--chain", "--center", "0,0", "--chain-ball", "0.3", "--p", "4", "--q", "4"]
+
+# (argv, side files the command writes)
+COMMANDS = [
+    (["gallery", "--list"], []),
+    (["gallery", "--export", "radial_log", "--resolution", RES, "--with-data", "--out", "rl.json"],
+     ["rl.json", "rl.k.json", "rl.sigma.json"]),
+    (["gallery", "--export", "cone", "--resolution", RES, "--out", "cone.json"], ["cone.json"]),
+    (["analyze", "rl.json", *RL_DATA, "--rel-tol", "0.03"], []),
+    (["analyze", "rl.json", *RL_DATA, "--violations-out", "violations.csv"], ["violations.csv"]),
+    (["analyze", "rl.json", "--p", "4", "--q", "4", "--y0", "0,0"], []),
+    (["sobolev", "cone.json", "--check", "superlevel"], []),
+    (["sobolev", "cone.json", "--band", "0.2,0.6"], []),
+    (["distribution", "cone.json", "--tgrid", "0.25,0.5,0.75", "--curves-out", "curves.csv",
+      "--levels-out", "levels.csv"], ["curves.csv", "levels.csv"]),
+    (["staircase", "cone.json", "--gamma", "0.5", "--epsilon", "0.4", "--format", "csv"], []),
+    (["staircase", "cone.json", "--gamma", "0.5", "--epsilon", "0.4"], []),
+    (["monotonicity", "cone.json", "--center", "0,0", "--radii", "0.1,0.2,0.3,0.4"], []),
+    (CHAIN, []),
+    (CHAIN + ["--format", "csv"], []),
+    (CHAIN + ["--level", "0"], []),
+    (CHAIN + ["--level", "0", "--kfield", "rl.k.json", "--format", "csv"], []),
+    (["modulus", "--example", "radial_log", "--center", "0,0", "--radii", "1e-6,1e-5,1e-4,1e-3,1e-2"], []),
+    (["modulus", "rl.json", "--center", "0,0", "--radii", "0.01,0.02,0.05,0.1,0.2"], []),
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        sys.stderr.write(__doc__)
+        return 1
+    src = os.path.abspath(argv[0])
+    if not os.path.isdir(os.path.join(src, "distlab")):
+        src = os.path.join(src, "src")
+    if not os.path.isfile(os.path.join(src, "distlab", "cli.py")):
+        sys.stderr.write(f"report_digest: no distlab package under {argv[0]}\n")
+        return 1
+    env = dict(os.environ, PYTHONPATH=src)
+    with tempfile.TemporaryDirectory() as work:
+        for args, side in COMMANDS:
+            proc = subprocess.run(
+                [sys.executable, "-m", "distlab.cli", *args], cwd=work, env=env, capture_output=True
+            )
+            shown = "distlab " + " ".join(args)
+            print(proc.returncode, _sha(proc.stdout + proc.stderr), shown, flush=True)
+            for name in side:
+                path = pathlib.Path(work, name)
+                digest = _sha(path.read_bytes()) if path.exists() else "missing"
+                print(proc.returncode, digest, f"{shown} [{name}]", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

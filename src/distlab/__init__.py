@@ -32,7 +32,6 @@ from .distribution import (  # noqa: F401
 from .staircase import (  # noqa: F401
     MonotoneFn,
     StaircaseResult,
-    inverse_distribution_staircase,
     staircase_approx,
 )
 from .sobolev import (  # noqa: F401

@@ -230,10 +230,14 @@ def _provenance(grid=None, **extra) -> dict:
     return doc
 
 
+def _write(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def _emit(plan: CommandPlan, text: str) -> None:
     if plan.out:
-        with open(plan.out, "w") as fh:
-            fh.write(text)
+        _write(plan.out, text)
     else:
         sys.stdout.write(text)
 
@@ -326,8 +330,7 @@ def _cmd_analyze(plan: CommandPlan) -> int:
     data = _distortion_data(opts, vm)
     rep = verify_distortion(vm, data, y0=opts["y0"], rel_tol=opts["rel_tol"])
     if opts["violations_out"]:
-        with open(opts["violations_out"], "w") as fh:
-            fh.write(violations_csv(rep))
+        _write(opts["violations_out"], violations_csv(rep))
     doc = rep.as_dict()
     doc["admissible"] = data.admissible
     doc["k_source"] = opts["kfield"] or "default: K = 1"
@@ -397,14 +400,12 @@ def _cmd_distribution(plan: CommandPlan) -> int:
     )
 
     if opts["levels_out"]:
-        with open(opts["levels_out"], "w") as fh:
-            fh.write(distribution_csv(dist))
+        _write(opts["levels_out"], distribution_csv(dist))
     curves = None
     if opts["tgrid"] is not None:
         curves = curves_csv(dist, opts["tgrid"])
         if opts["curves_out"]:
-            with open(opts["curves_out"], "w") as fh:
-                fh.write(curves)
+            _write(opts["curves_out"], curves)
 
     doc = {
         "total_measure": total,

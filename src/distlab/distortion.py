@@ -97,6 +97,15 @@ def _ratio_norm(Sigma: np.ndarray, K: np.ndarray, q: float, hvol: float) -> floa
     return float((ratio**q).sum() * hvol) ** (1.0 / q)
 
 
+def _require_map_grid(vm: VectorMap, **data: ScalarField) -> None:
+    """Distortion data must live on the map's grid: the same lattice and mask."""
+    grid = vm.grid
+    for name, field in data.items():
+        g = field.grid
+        if g is not grid and not (_same_lattice(g, grid) and np.array_equal(g.mask, grid.mask)):
+            raise ValueError(f"{name} does not live on the map's grid (lattice and mask must match)")
+
+
 def lebesgue_norm(field: ScalarField, p: float) -> float:
     """L^p norm on the sampled measure; the essential sup is the max."""
     vals = field.values
@@ -142,6 +151,7 @@ def _quotient(grid, dn: np.ndarray, J: np.ndarray) -> ScalarField:
 def residual_defect(vm: VectorMap, K: ScalarField) -> ScalarField:
     """Minimal cellwise defect making the distortion inequality hold:
     Sigma_min = max(0, |Df|^n - K * J_f)."""
+    _require_map_grid(vm, K=K)
     if (K.values < 1.0).any():
         raise ValueError("residual defect expects K >= 1 cellwise")
     dn, J = _derivative_powers(vm)
@@ -211,6 +221,7 @@ def verify_distortion(
     """
     grid = vm.grid
     n = grid.dim
+    _require_map_grid(vm, K=data.K, Sigma=data.Sigma)
     dn_box, J_box = _derivative_powers(vm)
     dn = dn_box[grid.mask]
     J = J_box[grid.mask]
@@ -277,6 +288,16 @@ def verify_distortion(
     )
 
 
+def _warn_unless_supported(comp: ScalarField, i: int, law: str) -> None:
+    """Warn the caller's caller when coordinate i is visibly nonzero at the mask boundary."""
+    if not boundary_support_ok(comp):
+        warnings.warn(
+            f"component {i} is not approximately compactly supported; "
+            f"the {law} law does not apply",
+            stacklevel=3,
+        )
+
+
 def zero_integral_check(vm: VectorMap, i: int) -> float:
     """Integral of the Jacobian when coordinate i has compact support.
 
@@ -284,13 +305,7 @@ def zero_integral_check(vm: VectorMap, i: int) -> float:
     noise.  Emits a warning when coordinate i is visibly nonzero at the
     mask boundary, in which case the law does not apply.
     """
-    comp = vm.component(i)
-    if not boundary_support_ok(comp):
-        warnings.warn(
-            f"component {i} is not approximately compactly supported; "
-            "the zero-integral law does not apply",
-            stacklevel=2,
-        )
+    _warn_unless_supported(vm.component(i), i, "zero-integral")
     return integrate(jacobian(differential(vm)))
 
 
@@ -304,12 +319,7 @@ def weighted_zero_integral_check(
     discretization noise scaled by F.
     """
     comp = vm.component(i)
-    if not boundary_support_ok(comp):
-        warnings.warn(
-            f"component {i} is not approximately compactly supported; "
-            "the weighted zero-integral law does not apply",
-            stacklevel=2,
-        )
+    _warn_unless_supported(comp, i, "weighted zero-integral")
     weights = F(np.abs(comp.values))
     if not np.isfinite(weights).all():
         raise ValueError("F takes the value +inf on attained values of |f_i|")

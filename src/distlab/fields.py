@@ -317,23 +317,30 @@ class MatrixField:
             raise ValueError("matrix entries must be finite on the mask")
 
 
+def _evaluate(evaluator: Callable, pts: np.ndarray) -> np.ndarray:
+    """Values of ``evaluator`` at the rows of an ``(m, dim)`` array, as an
+    ``(m,)`` or ``(m, dim)`` array (the contract stated in :func:`sample`)."""
+    try:
+        out = np.asarray(evaluator(pts), dtype=float)
+    except TypeError:  # a per-point callable handed the whole array
+        out = None
+    if out is None or out.shape not in (pts.shape[:1], pts.shape):
+        out = np.asarray([evaluator(p) for p in pts], dtype=float)
+    if not np.isfinite(out).all():
+        raise ValueError("evaluator produced non-finite values")
+    return out
+
+
 def sample(grid: Grid, evaluator: Callable) -> ScalarField | VectorMap:
     """Evaluate a point function at every masked cell center.
 
-    The evaluator may be vectorized (accepting an ``(m, dim)`` array) or a
-    plain per-point callable; scalar output yields a ScalarField, length-dim
-    output a VectorMap.
+    The evaluator is called once with the ``(m, dim)`` array of centers.
+    Only if that call raises TypeError or returns a shape other than
+    ``(m,)`` or ``(m, dim)`` is it called once per point instead; any other
+    error propagates, and non-finite values raise ValueError.  Scalar
+    output yields a ScalarField, length-dim output a VectorMap.
     """
-    pts = grid.masked_centers
-    try:
-        out = np.asarray(evaluator(pts), dtype=float)
-        if out.shape not in ((len(pts),), (len(pts), grid.dim)):
-            raise ValueError
-    except Exception:
-        rows = [evaluator(p) for p in pts]
-        out = np.asarray(rows, dtype=float)
-    if not np.isfinite(out).all():
-        raise ValueError("evaluator produced non-finite values on the domain")
+    out = _evaluate(evaluator, grid.masked_centers)
     if out.ndim == 1:
         return ScalarField.from_values(grid, out)
     data = np.full(grid.shape + (grid.dim,), np.nan)
@@ -485,7 +492,6 @@ def interpolate(field: ScalarField, points: np.ndarray) -> np.ndarray:
         raise ValueError("interpolation point outside the sampled box")
 
     vals = np.zeros(len(pts))
-    filled = np.where(grid.mask, field.data, np.nan)
     for corner in np.ndindex(*(2,) * grid.dim):
         idx = tuple(i0[:, a] + corner[a] for a in range(grid.dim))
         if not grid.mask[idx].all():
@@ -493,7 +499,7 @@ def interpolate(field: ScalarField, points: np.ndarray) -> np.ndarray:
         w = np.ones(len(pts))
         for a in range(grid.dim):
             w = w * (frac[:, a] if corner[a] else 1.0 - frac[:, a])
-        vals += w * filled[idx]
+        vals += w * field.data[idx]
     return vals
 
 
@@ -515,15 +521,15 @@ def sphere_points(ball: Ball, samples: int) -> np.ndarray:
     return c + r * np.stack([rho * np.cos(theta), rho * np.sin(theta), z], axis=-1)
 
 
-def boundary_support_ok(field: ScalarField, cutoff: float = 1e-9) -> bool:
+def boundary_support_ok(field: ScalarField) -> bool:
     """Grid surrogate for compact support: every boundary-adjacent cell
-    value is below ``cutoff`` times the max magnitude."""
+    value is below 1e-9 times the max magnitude."""
     vals = np.abs(field.values)
     vmax = float(vals.max(initial=0.0))
     if vmax == 0.0:
         return True
     edge = np.abs(field.data[field.grid.boundary_adjacent])
-    return not bool((edge >= cutoff * vmax).any())
+    return not bool((edge >= 1e-9 * vmax).any())
 
 
 def sphere_trace(field: ScalarField, ball: Ball, samples: int) -> np.ndarray:

@@ -278,22 +278,11 @@ _BUILDERS = {
     "x_over_norm": _x_over_norm,
 }
 
-_CATALOG_ORDER = (
-    "identity",
-    "linear",
-    "cone",
-    "smooth_bump",
-    "winding",
-    "radial_power",
-    "radial_log",
-    "x_over_norm",
-)
-
 
 def list_examples() -> list[dict]:
     """Deterministic catalog listing with per-entry metadata."""
     out = []
-    for name in _CATALOG_ORDER:
+    for name in _BUILDERS:
         ex = make_example(name, dim=2)
         out.append(
             {

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import upper_distribution
-from .distortion import DistortionData, _inv, _ratio_norm, lebesgue_norm
+from .distortion import DistortionData, _inv, _ratio_norm, _require_map_grid, lebesgue_norm
 from .fields import (
     Ball,
     ScalarField,
     VectorMap,
+    _evaluate,
     boundary_support_ok,
     differential,
     jacobian,
@@ -31,7 +32,7 @@ from .fields import (
     sphere_trace,
     truncate,
 )
-from .sobolev import unit_ball_volume
+from .sobolev import TOL_ABS, TOL_REL, holds, unit_ball_volume
 
 __all__ = [
     "BallExtrema",
@@ -49,8 +50,6 @@ __all__ = [
     "log_power_fit",
 ]
 
-CHAIN_TOL_REL = 0.02
-_TOL_ABS = 1e-9
 _EXACT_REL = 1e-9  # discrete-Hoelder / sampled-measure checks
 _DEFECT_FLOOR = 1e-9  # relative cutoff below which a defect counts as zero
 
@@ -227,10 +226,6 @@ class ChainLedger:
         return "\n".join(lines) + "\n"
 
 
-def _holds(lhs, rhs, rel) -> bool:
-    return lhs <= rhs * (1.0 + rel) + _TOL_ABS
-
-
 _CHAIN_NAMES = (
     "a_superlevel",
     "b_holder_split",
@@ -271,7 +266,6 @@ def sup_bound_chain(
     level: float,
     mode: str,
     gamma: float | None = None,
-    tol_rel: float = CHAIN_TOL_REL,
 ) -> ChainLedger:
     """Replay the sup-norm estimate for phi = (f_i - level)^+ (mode "above")
     or (level - f_i)^+ (mode "below") on the map's domain.
@@ -288,6 +282,7 @@ def sup_bound_chain(
     if not data.k_at_least_one:
         raise ValueError("the chain needs K >= 1 cellwise")
     grid = vm.grid
+    _require_map_grid(vm, K=data.K, Sigma=data.Sigma)
     n = grid.dim
     p, q = data.p, data.q
     lo, hi = _inv(p), 1.0 - _inv(q)
@@ -364,7 +359,7 @@ def sup_bound_chain(
 
     # negative-part bound K Jg^- <= Sigma, implied cellwise wherever the
     # distortion inequality for g itself passes
-    cell_tol = tol_rel * (1.0 + gn**n + np.abs(K * Jg)) + _TOL_ABS
+    cell_tol = TOL_REL * (1.0 + gn**n + np.abs(K * Jg)) + TOL_ABS
     g_passes = gn**n <= K * Jg + Sigma + cell_tol
     neg_excess = K * np.maximum(-Jg, 0.0) - Sigma - cell_tol
     neg_max = float(np.maximum(neg_excess[g_passes], -np.inf).max(initial=-np.inf))
@@ -387,22 +382,22 @@ def sup_bound_chain(
     )
 
     checks = (
-        ChainCheck("a_superlevel", sup_phi_n, superlevel_n, _holds(sup_phi_n, superlevel_n, tol_rel)),
+        ChainCheck("a_superlevel", sup_phi_n, superlevel_n, holds(sup_phi_n, superlevel_n)),
         ChainCheck(
             "b_holder_split",
             G**n,
             energy * k_norm * p1**e1,
-            _holds(G**n, energy * k_norm * p1**e1, _EXACT_REL),
+            holds(G**n, energy * k_norm * p1**e1, _EXACT_REL),
         ),
         ChainCheck(
             "c_energy_bound",
             energy,
             rho + sigma_holder,
-            _holds(energy, rho + sigma_holder, tol_rel),
+            holds(energy, rho + sigma_holder),
         ),
-        ChainCheck("p1_measure_bound", p1, p1_bound, _holds(p1, p1_bound, _EXACT_REL)),
-        ChainCheck("p2_measure_bound", p2, p2_bound, _holds(p2, p2_bound, _EXACT_REL)),
-        ChainCheck("d_final_bound", sup_phi_n, final_bound, _holds(sup_phi_n, final_bound, tol_rel)),
+        ChainCheck("p1_measure_bound", p1, p1_bound, holds(p1, p1_bound, _EXACT_REL)),
+        ChainCheck("p2_measure_bound", p2, p2_bound, holds(p2, p2_bound, _EXACT_REL)),
+        ChainCheck("d_final_bound", sup_phi_n, final_bound, holds(sup_phi_n, final_bound)),
         ChainCheck("negative_part", neg_max, 0.0, neg_max <= 0.0),
     )
     return ChainLedger(entries, checks, trivial=False, support_warning=not boundary_support_ok(phi))
@@ -418,27 +413,15 @@ def modulus_curve(evaluator, x0, radii, samples: int = 64) -> list[tuple[float, 
     running maximum over all smaller spheres makes the curve non-decreasing.
     """
     x0 = np.asarray(x0, dtype=float)
-    f0 = np.asarray(_eval_points(evaluator, x0[None, :])[0], dtype=float)
+    f0 = _evaluate(evaluator, x0[None, :])[0]
     out = []
     best = 0.0
     for r in sorted(float(r) for r in radii):
         pts = sphere_points(Ball(tuple(x0), r), samples)
-        vals = _eval_points(evaluator, pts)
+        vals = _evaluate(evaluator, pts)
         dev = np.sqrt(((vals - f0) ** 2).sum(axis=-1)) if vals.ndim == 2 else np.abs(vals - f0)
         best = max(best, float(dev.max()))
         out.append((r, best))
-    return out
-
-
-def _eval_points(evaluator, pts: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(evaluator(pts), dtype=float)
-        if out.shape[0] != len(pts):
-            raise ValueError
-    except Exception:
-        out = np.asarray([evaluator(p) for p in pts], dtype=float)
-    if not np.isfinite(out).all():
-        raise ValueError("evaluator produced non-finite values on a sphere")
     return out
 
 

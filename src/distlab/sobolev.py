@@ -36,7 +36,11 @@ __all__ = [
 
 TOL_REL = 0.02
 TOL_ABS = 1e-9
-_SUPPORT_CUTOFF = 1e-9  # boundary values below this fraction of the max count as zero
+
+
+def holds(lhs, rhs, rel: float = TOL_REL) -> bool:
+    """The verdict rule of every checked inequality: lhs <= rhs (1 + rel) + TOL_ABS."""
+    return bool(lhs <= rhs * (1 + rel) + TOL_ABS)
 
 
 @dataclass(frozen=True)
@@ -51,8 +55,6 @@ class InequalityReport:
     support_warning: bool
     resolution: tuple[int, ...]
     spacing: float
-    tol_rel: float = TOL_REL
-    tol_abs: float = TOL_ABS
 
     def as_dict(self) -> dict:
         return {
@@ -64,8 +66,8 @@ class InequalityReport:
             "support_warning": self.support_warning,
             "resolution": list(self.resolution),
             "spacing": self.spacing,
-            "tol_rel": self.tol_rel,
-            "tol_abs": self.tol_abs,
+            "tol_rel": TOL_REL,
+            "tol_abs": TOL_ABS,
         }
 
 
@@ -82,15 +84,14 @@ def isoperimetric_constant(n: int) -> float:
 
 
 def _report(name, field, lhs, rhs) -> InequalityReport:
-    holds = lhs <= rhs * (1.0 + TOL_REL) + TOL_ABS
     ratio = lhs / rhs if rhs > 0 else None
     return InequalityReport(
         name=name,
         lhs=float(lhs),
         rhs=float(rhs),
-        holds=bool(holds),
+        holds=holds(lhs, rhs),
         ratio=ratio,
-        support_warning=not boundary_support_ok(field, _SUPPORT_CUTOFF),
+        support_warning=not boundary_support_ok(field),
         resolution=field.grid.shape,
         spacing=field.grid.spacing,
     )

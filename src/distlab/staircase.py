@@ -27,7 +27,6 @@ __all__ = [
     "MonotoneFn",
     "StaircaseResult",
     "staircase_approx",
-    "inverse_distribution_staircase",
     "max_gap_deviation",
     "staircase_csv",
 ]
@@ -231,19 +230,9 @@ def staircase_approx(F: MonotoneFn, epsilon: float, max_steps: int) -> Staircase
     return StaircaseResult(np.asarray(pts), float(s), case, float(epsilon))
 
 
-def inverse_distribution_staircase(
-    field: ScalarField, gamma: float, epsilon: float, max_steps: int
-) -> StaircaseResult:
-    """Staircase of t -> mu_plus(t)^(-gamma) for a sampled nonnegative field.
-
-    Here s equals the field maximum, and the breakpoints climb toward it.
-    """
-    F = inverse_distribution_fn(field, gamma)
-    return staircase_approx(F, epsilon, max_steps)
-
-
 def inverse_distribution_fn(field: ScalarField, gamma: float) -> MonotoneFn:
-    """The step function mu_plus^(-gamma) of a sampled field, exact."""
+    """The step function mu_plus^(-gamma) of a sampled field, exact; its
+    staircase has s equal to the field maximum."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     dist = upper_distribution(field)
@@ -254,11 +243,12 @@ def inverse_distribution_fn(field: ScalarField, gamma: float) -> MonotoneFn:
     return MonotoneFn.step(dist.levels, pieces, value_at_infinity=math.inf)
 
 
-def max_gap_deviation(F: MonotoneFn, result: StaircaseResult, probes_per_gap: int = 8) -> float:
+def max_gap_deviation(F: MonotoneFn, result: StaircaseResult) -> float:
     """Largest |F(t_i) - F(t)| over probed t in each gap (t_{i-1}, t_i].
 
     For step functions the probe set (every jump inside the gap plus the
-    right endpoint) is exhaustive, so the returned deviation is exact.
+    right endpoint) is exhaustive, so the returned deviation is exact;
+    analytic ones are probed at eight evenly spaced points per gap.
     """
     pts = result.breakpoints
     if F.kind == "step":
@@ -274,7 +264,7 @@ def max_gap_deviation(F: MonotoneFn, result: StaircaseResult, probes_per_gap: in
     worst = 0.0
     for i in range(1, len(pts)):
         lo, hi = pts[i - 1], pts[i]
-        cands = [hi, *(lo + (hi - lo) * np.linspace(0, 1, probes_per_gap + 1)[1:])]
+        cands = [hi, *(lo + (hi - lo) * np.linspace(0, 1, 9)[1:])]
         ref = F(hi)
         for t in cands:
             dev = abs(ref - F(t))

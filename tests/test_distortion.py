@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from distlab import distortion
+from distlab import distortion, fields
 from distlab.fields import Ball, Box, ScalarField, build_grid, sample
 from distlab.distortion import (
     DistortionData,
@@ -19,6 +19,7 @@ from distlab.distortion import (
     weighted_zero_integral_check,
     zero_integral_check,
 )
+from distlab.monotonicity import sup_bound_chain
 from distlab.staircase import MonotoneFn, inverse_distribution_fn
 from distlab.gallery import make_example, sample_analytic_k, sample_analytic_sigma, sample_map
 
@@ -42,6 +43,49 @@ def test_distortion_data_rejects_sigma_on_another_grid(other):
     with pytest.raises(ValueError, match="same grid"):
         DistortionData(const_field(g, 1.0), const_field(h, 0.0))
     DistortionData(const_field(g, 1.0), const_field(build_grid(UNIT_SQUARE, 8), 0.0))
+
+
+def _left_half_map():
+    g = build_grid(UNIT_SQUARE, 32)
+    vm = sample(g, lambda p: np.stack([p[..., 0] + 0.1 * p[..., 1] ** 2, p[..., 1]], axis=-1))
+    return g, vm.restrict(g.centers[..., 0] < 0.5)
+
+
+def _data_on(grid):
+    return DistortionData(const_field(grid, 2.0, nonnegative=True), const_field(grid, 0.0), 4.0, 4.0)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda vm, d: verify_distortion(vm, d),
+        lambda vm, d: residual_defect(vm, d.K),
+        lambda vm, d: sup_bound_chain(vm, d, 0, 0.2, "above"),
+    ],
+    ids=["verify_distortion", "residual_defect", "sup_bound_chain"],
+)
+@pytest.mark.parametrize("where", ["right-half", "full-box", "other-lattice"])
+def test_distortion_data_on_another_grid_rejected(check, where, monkeypatch):
+    g, vm = _left_half_map()
+    other = {
+        "right-half": g.with_mask(g.centers[..., 0] > 0.5),  # same cell count
+        "full-box": g,
+        "other-lattice": build_grid(Box((0.5, 0.0), (1.5, 1.0)), 32).with_mask(vm.grid.mask),
+    }[where]
+    derivatives = []
+    monkeypatch.setattr(fields, "_derivative", lambda *a: derivatives.append(a))
+    with pytest.raises(ValueError, match="map's grid"):
+        check(vm, _data_on(other))
+    assert derivatives == []  # rejected before any derivative work
+
+
+def test_distortion_data_on_an_equal_grid_accepted():
+    g, vm = _left_half_map()
+    twin = build_grid(UNIT_SQUARE, 32).with_mask(vm.grid.mask)  # equal, not the same object
+    data = _data_on(twin)
+    assert verify_distortion(vm, data).checked_cells == vm.grid.cell_count
+    assert residual_defect(vm, data.K).grid is vm.grid
+    assert sup_bound_chain(vm, data, 0, 10.0, "above").trivial
 
 
 def bump(pts, center=(0.5, 0.5), radius=0.4):
@@ -336,6 +380,18 @@ def test_zero_integral_warns_without_support():
     ident = sample(g, lambda p: p)
     with pytest.warns(UserWarning):
         zero_integral_check(ident, 0)
+
+
+def test_support_warnings_point_at_the_caller():
+    ident = sample(build_grid(UNIT_SQUARE, 16), lambda p: p)
+    one = MonotoneFn.step(np.array([]), [1.0])
+    for call, law in (
+        (lambda: zero_integral_check(ident, 1), "the zero-integral law"),
+        (lambda: weighted_zero_integral_check(ident, 1, one), "the weighted zero-integral law"),
+    ):
+        with pytest.warns(UserWarning, match=f"component 1 .*; {law} does not apply") as rec:
+            call()
+        assert [w.filename for w in rec] == [__file__]
 
 
 def test_weighted_zero_integral_constant_weight():

@@ -102,6 +102,35 @@ def test_sample_nonfinite_rejected():
 
     with pytest.raises(ValueError):
         sample(g, bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        sample(g, lambda p: math.inf * math.hypot(*p))  # per point
+
+
+def test_sample_per_point_evaluators_match_vectorized_twins():
+    g = build_grid(UNIT_DISK, 24)
+    # math.hypot raises TypeError on the whole array; np.sum of it returns a
+    # scalar, not (m,): both are called again point by point
+    r = sample(g, lambda p: math.hypot(*p))
+    s = sample(g, lambda p: float(np.sum(p)))
+    vm = sample(g, lambda p: (math.hypot(*p), p[1]))
+    r_vec = sample(g, lambda p: np.hypot(p[:, 0], p[:, 1]))
+    np.testing.assert_allclose(r.values, r_vec.values, rtol=1e-15)
+    np.testing.assert_allclose(vm.component(0).values, r_vec.values, rtol=1e-15)
+    np.testing.assert_array_equal(vm.component(1).values, g.masked_centers[:, 1])
+    np.testing.assert_allclose(s.values, g.masked_centers.sum(axis=1), rtol=1e-15, atol=1e-15)
+
+
+def test_sample_evaluator_error_propagates_after_one_call():
+    g = build_grid(UNIT_SQUARE, 8)
+    calls = []
+
+    def broken(p):
+        calls.append(np.shape(p))
+        raise ValueError("broken evaluator")
+
+    with pytest.raises(ValueError, match="broken evaluator"):
+        sample(g, broken)
+    assert calls == [(g.cell_count, 2)]
 
 
 # ------------------------------------------------------------------ gradient

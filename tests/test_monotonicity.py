@@ -349,6 +349,33 @@ def test_modulus_identity_and_constant():
     assert all(w == 0.0 for _, w in flat)
 
 
+def test_modulus_per_point_evaluator_matches_vectorized_twin():
+    radii = [0.05, 0.1, 0.3]
+    per_point = modulus_curve(lambda p: (math.hypot(*p), p[1]), (0.2, -0.1), radii, samples=32)
+    twin = modulus_curve(
+        lambda p: np.stack([np.hypot(p[:, 0], p[:, 1]), p[:, 1]], axis=-1), (0.2, -0.1), radii, samples=32
+    )
+    assert [r for r, _ in per_point] == radii
+    np.testing.assert_allclose([w for _, w in per_point], [w for _, w in twin], rtol=1e-14)
+
+
+def test_modulus_evaluator_error_propagates_after_one_call():
+    calls = []
+
+    def broken(p):
+        calls.append(np.shape(p))
+        raise ValueError("broken evaluator")
+
+    with pytest.raises(ValueError, match="broken evaluator"):
+        modulus_curve(broken, ORIGIN, [0.1], samples=16)
+    assert calls == [(1, 2)]
+
+
+def test_modulus_nonfinite_rejected():
+    with pytest.raises(ValueError, match="non-finite"):
+        modulus_curve(lambda p: np.where(np.abs(p[:, 0]) > 0.05, np.inf, 0.0), ORIGIN, [0.1], samples=16)
+
+
 def test_modulus_radial_log_curve():
     ex = make_example("radial_log")
     radii = np.logspace(-6, -2, 9)

@@ -10,7 +10,6 @@ from distlab.staircase import (
     MonotoneFn,
     StaircaseResult,
     inverse_distribution_fn,
-    inverse_distribution_staircase,
     max_gap_deviation,
     staircase_approx,
     staircase_csv,
@@ -195,7 +194,7 @@ def test_inverse_distribution_constant_field():
     g = build_grid(UNIT_SQUARE, 8)
     c = 1.75
     f = ScalarField.from_values(g, np.full(g.cell_count, c))
-    res = inverse_distribution_staircase(f, 0.5, 0.3, 12)
+    res = staircase_approx(inverse_distribution_fn(f, 0.5), 0.3, 12)
     assert res.s == pytest.approx(c)
     assert res.case == "hit"
     F = inverse_distribution_fn(f, 0.5)
@@ -207,7 +206,7 @@ def test_inverse_distribution_cone():
     g = build_grid(UNIT_DISK, 64)
     f = sample(g, cone)
     gamma = 0.5  # (n-1)/n in the plane
-    res = inverse_distribution_staircase(f, gamma, 0.5, 200)
+    res = staircase_approx(inverse_distribution_fn(f, gamma), 0.5, 200)
     assert res.s == pytest.approx(f.max())
     assert np.all(np.diff(res.breakpoints) > 0)
     assert res.breakpoints[-1] < f.max()
@@ -220,10 +219,10 @@ def test_inverse_distribution_validation():
     g = build_grid(UNIT_SQUARE, 4)
     f = ScalarField.from_values(g, np.zeros(g.cell_count))
     with pytest.raises(ValueError):
-        inverse_distribution_staircase(f, 0.5, 0.1, 5)
+        staircase_approx(inverse_distribution_fn(f, 0.5), 0.1, 5)
     f2 = ScalarField.from_values(g, np.ones(g.cell_count))
     with pytest.raises(ValueError):
-        inverse_distribution_staircase(f2, 0.0, 0.1, 5)
+        staircase_approx(inverse_distribution_fn(f2, 0.0), 0.1, 5)
 
 
 @given(seed=st.integers(0, 500))
