@@ -6,8 +6,9 @@
 SRC is a checkout (or its ``src/`` directory).  The script exports the
 README fields at 256^2 with ``python -m distlab.cli`` from SRC into a
 temporary directory, runs the README commands there (plus side-file
-outputs, the chain's CSV form and the ``--y0``, ``--band`` and ``--level``
-options), and prints one ``exit sha256 command`` line per command and per
+outputs, the chain's CSV form, the ``--y0``, ``--band`` and ``--level``
+options, and an off-centre sweep with radii down to 0.005 and an off-centre
+chain), and prints one ``exit sha256 command`` line per command and per
 side file.  Run it on two trees and diff the
 outputs: equal lines mean byte-identical reports.
 """
@@ -39,10 +40,12 @@ COMMANDS = [
     (["staircase", "cone.json", "--gamma", "0.5", "--epsilon", "0.4", "--format", "csv"], []),
     (["staircase", "cone.json", "--gamma", "0.5", "--epsilon", "0.4"], []),
     (["monotonicity", "cone.json", "--center", "0,0", "--radii", "0.1,0.2,0.3,0.4"], []),
+    (["monotonicity", "cone.json", "--center", "0.1,-0.05", "--radii", "0.005,0.01,0.02,0.05,0.1,0.2"], []),
     (CHAIN, []),
     (CHAIN + ["--format", "csv"], []),
     (CHAIN + ["--level", "0"], []),
     (CHAIN + ["--level", "0", "--kfield", "rl.k.json", "--format", "csv"], []),
+    (["monotonicity", "rl.json", "--chain", "--center", "0.1,-0.05", "--chain-ball", "0.25", "--p", "4", "--q", "4"], []),
     (["modulus", "--example", "radial_log", "--center", "0,0", "--radii", "1e-6,1e-5,1e-4,1e-3,1e-2"], []),
     (["modulus", "rl.json", "--center", "0,0", "--radii", "0.01,0.02,0.05,0.1,0.2"], []),
 ]

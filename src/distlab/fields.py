@@ -115,12 +115,12 @@ class Grid:
     @cached_property
     def centers(self) -> np.ndarray:
         """Cell centers over the full box, shape ``shape + (dim,)``."""
-        axes = [
-            self.origin[a] + (np.arange(self.shape[a]) + 0.5) * self.spacing
-            for a in range(self.dim)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        mesh = np.meshgrid(*map(self._axis_coords, range(self.dim)), indexing="ij")
         return np.stack(mesh, axis=-1)
+
+    def _axis_coords(self, a: int) -> np.ndarray:
+        """Cell-center coordinates along axis ``a``."""
+        return self.origin[a] + (np.arange(self.shape[a]) + 0.5) * self.spacing
 
     @cached_property
     def masked_centers(self) -> np.ndarray:
@@ -145,9 +145,18 @@ class Grid:
         return Grid(self.dim, self.shape, self.origin, self.spacing, new_mask, domain=None)
 
     def ball_mask(self, ball: Ball) -> np.ndarray:
-        """Masked cells whose center lies in the open ball."""
-        d2 = ((self.centers - np.asarray(ball.center)) ** 2).sum(axis=-1)
-        return self.mask & (d2 < ball.radius**2)
+        """Masked cells whose center lies in the open ball.  A sum of
+        nonnegative axis terms is never below a term, so d2 is summed (in axis
+        order, as over the full box) only on the window where each is < r**2."""
+        r2, window, d2 = ball.radius**2, [], 0.0
+        for a in range(self.dim):
+            t = (self._axis_coords(a) - ball.center[a]) ** 2
+            idx = np.flatnonzero(t < r2)  # contiguous: t falls, then rises
+            window.append(slice(idx[0], idx[-1] + 1) if idx.size else slice(0))
+            d2 = d2 + t[window[-1]].reshape((-1,) + (1,) * (self.dim - 1 - a))
+        out = np.zeros(self.shape, dtype=bool)
+        out[tuple(window)] = self.mask[tuple(window)] & (d2 < r2)
+        return out
 
 
 def _same_lattice(a: Grid, b: Grid) -> bool:
@@ -401,9 +410,8 @@ def differential(vm: VectorMap) -> MatrixField:
 
 def grad_norm(field: ScalarField) -> ScalarField:
     """Euclidean norm of the finite-difference gradient."""
-    g = gradient(field)
-    norm = np.sqrt((g.data**2).sum(axis=-1))
-    return _as_field(field.grid, norm, nonnegative=True)
+    planes = _derivative(field.grid, [field.data])[0]
+    return _as_field(field.grid, np.sqrt(sum(p * p for p in planes)), nonnegative=True)
 
 
 def _sym3_eig_max(a11, a22, a33, a12, a13, a23):

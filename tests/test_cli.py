@@ -306,6 +306,40 @@ def test_monotonicity_chain_on_exported_map(tmp_path, capsys):
     assert doc["holds_all"] is True
 
 
+def test_chain_without_compact_support_does_not_exit_2(tmp_path, capsys):
+    # level 0 leaves radial_log's truncation nonzero on the chain ball's
+    # boundary: only the superlevel step, which assumes compact support,
+    # misses, and the report says so without a failing exit code
+    out = _export_radial_log(tmp_path, capsys, res=128)
+    chain = ["monotonicity", str(out), "--chain", "--center", "0,0", "--chain-ball", "0.3",
+             "--p", "4", "--q", "4", "--level", "0"]
+    assert main(chain) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["support_warning"] is True
+    assert doc["holds_all"] is False
+    failed = [k for k, v in doc.items() if k.startswith("check_") and not v["holds"]]
+    assert failed == ["check_a_superlevel"]
+    assert main(chain + ["--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [r.split(",")[0] for r in rows if r.endswith(",False")] == ["a_superlevel"]
+
+
+@pytest.mark.parametrize("support_warning", [False, True])
+@pytest.mark.parametrize("step", monotonicity._CHAIN_NAMES)
+def test_chain_exit_code_per_failed_step(tmp_path, capsys, monkeypatch, step, support_warning):
+    # only the steps that assume compact support are excused by the warning
+    def one_miss(*args, **kwargs):
+        checks = tuple(monotonicity.ChainCheck(n, 1.0, 0.5, n != step) for n in monotonicity._CHAIN_NAMES)
+        return monotonicity.ChainLedger({}, checks, trivial=False, support_warning=support_warning)
+
+    out = _export_radial_log(tmp_path, capsys, res=32)
+    monkeypatch.setattr("distlab.cli.sup_bound_chain", one_miss)
+    code = main(["monotonicity", str(out), "--chain", "--center", "0,0", "--chain-ball", "0.3"])
+    assert json.loads(capsys.readouterr().out)["holds_all"] is False
+    excused = support_warning and step in ("a_superlevel", "c_energy_bound", "d_final_bound")
+    assert code == (0 if excused else 2)
+
+
 # ------------------------------------------------------------------- modulus
 
 

@@ -4,7 +4,8 @@ The reference below is the earlier per-entry kernel (boolean stencil
 scatter per derivative, ``np.stack`` into an interleaved ``shape + (d, d)``
 array).  The planar kernel must reproduce it bit for bit, NaN included,
 through every consumer: gradient, grad_norm, differential, op_norm and
-jacobian.
+jacobian.  ``grad_norm`` is also checked against its earlier form, the
+norm of a gradient ``VectorMap``.
 """
 
 import numpy as np
@@ -73,6 +74,13 @@ def _ref_gradient(grid, data):
     return np.stack(comps, axis=-1)
 
 
+def _ref_grad_norm(grid, data):
+    """``grad_norm`` as it was: through a gradient ``VectorMap``, which
+    rejects non-finite derivatives on the mask."""
+    g = VectorMap(grid, _ref_gradient(grid, data))
+    return np.where(grid.mask, np.sqrt((g.data**2).sum(axis=-1)), np.nan)
+
+
 def _ref_differential(vm):
     grid = vm.grid
     d = grid.dim
@@ -136,11 +144,30 @@ def test_planar_kernel_matches_reference(vm):
     assert _same(op_norm(D).data, op_norm(ref_mf).data)
     assert _same(jacobian(D).data, jacobian(ref_mf).data)
 
-    f = vm.component(0)
-    ref_g = _ref_gradient(grid, f.data)
-    assert _same(gradient(f).data, ref_g)
-    ref_gn = np.where(grid.mask, np.sqrt((ref_g**2).sum(axis=-1)), np.nan)
-    assert _same(grad_norm(f).data, ref_gn)
+    for f in vm.components:
+        ref_g = _ref_gradient(grid, f.data)
+        assert _same(gradient(f).data, ref_g)
+        assert _same(grad_norm(f).data, _ref_grad_norm(grid, f.data))
+
+
+@given(vm=masked_maps(), cell=st.integers(0, 2**32 - 1), value=st.sampled_from([np.inf, 1e200]))
+@settings(max_examples=40, deadline=None)
+def test_grad_norm_rejects_nonfinite_like_reference(vm, cell, value):
+    # a defect field may carry +inf; a huge finite value overflows the squares
+    grid = vm.grid
+    data = vm.data[..., 0].copy()
+    data[tuple(np.argwhere(grid.mask)[cell % grid.cell_count])] = value
+    f = ScalarField(grid, data, allow_infinite=True)
+    try:
+        ref = _ref_grad_norm(grid, data)
+    except ValueError:  # a non-finite derivative, or an isolated cell
+        with pytest.raises(ValueError, match="finite on the mask|isolated masked cell"):
+            grad_norm(f)
+        return
+    with pytest.raises(ValueError, match="finite on the mask"):
+        ScalarField(grid, ref)  # finite derivatives whose squares overflow
+    with pytest.raises(ValueError, match="finite on the mask"):
+        grad_norm(f)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

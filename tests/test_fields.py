@@ -375,3 +375,90 @@ def test_grad_norm_matches_components():
     f = sample(g, lambda p: p[..., 0] + 2 * p[..., 1])
     gn = grad_norm(f)
     assert np.allclose(gn.values, math.sqrt(5.0), atol=1e-12)
+
+
+# ----------------------------------------------------------------- ball_mask
+
+
+def _ref_ball_mask(grid, ball):
+    """The full-box formula ``Grid.ball_mask`` used before it was windowed."""
+    d2 = ((grid.centers - np.asarray(ball.center)) ** 2).sum(axis=-1)
+    return grid.mask & (d2 < ball.radius**2)
+
+
+@st.composite
+def grids_and_balls(draw):
+    """2-D/3-D square and oblong box grids, ball-domain grids and masked
+    sub-grids, with balls centred on lattice points (cell centres or
+    corners) of radius k*h, or anywhere, partly outside the box or small
+    enough to hold no cell centre."""
+    dim = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["box", "oblong", "ball", "sub"]))
+    n = draw(st.integers(2, 24 if dim == 2 else 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "oblong":
+        grid = build_grid(Box((-1.0,) * dim, (2.0,) + (1.0,) * (dim - 1)), (3 * n,) + (2 * n,) * (dim - 1))
+    elif kind == "ball":
+        grid = build_grid(Ball(tuple(rng.uniform(-0.5, 0.5, dim)), rng.uniform(0.5, 2.0)), n + 2)
+    else:
+        grid = build_grid(Box((-1.0,) * dim, (1.0,) * dim), n)
+    if kind == "sub":
+        sub = grid.mask & (rng.uniform(size=grid.shape) < 0.6)
+        sub.flat[rng.integers(sub.size)] = True
+        grid = grid.with_mask(sub)
+    h = grid.spacing
+    if draw(st.booleans()):  # lattice centre and radius k*h: ties at d2 == r**2
+        half = draw(st.integers(0, 1)) / 2.0
+        idx = [draw(st.integers(-3, grid.shape[a] + 3)) for a in range(dim)]
+        center = tuple(grid.origin[a] + (idx[a] + half) * h for a in range(dim))
+        radius = draw(st.sampled_from([0.3, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0])) * h
+    else:
+        center = tuple(rng.uniform(-1.5, 1.5, dim))
+        radius = float(draw(st.sampled_from([0.2, 1.0, 4.0, 20.0]))) * h * rng.uniform(0.5, 1.5)
+    return grid, Ball(center, radius)
+
+
+@given(case=grids_and_balls())
+@settings(max_examples=300, deadline=None)
+def test_ball_mask_matches_full_box_formula(case):
+    grid, ball = case
+    got = grid.ball_mask(ball)
+    assert got.shape == grid.shape and got.dtype == bool
+    assert np.array_equal(got, _ref_ball_mask(grid, ball))
+
+
+def test_ball_mask_excludes_ties():
+    # dyadic spacing: the cells 3h along an axis from a cell centre sit at
+    # d2 == r**2 exactly, and the ball is open
+    g = build_grid(CENTERED, 16)
+    h = g.spacing
+    center = tuple(g.centers[8, 8])
+    mask = g.ball_mask(Ball(center, 3 * h))
+    d2 = ((g.centers - np.asarray(center)) ** 2).sum(axis=-1)
+    assert (d2 == (3 * h) ** 2).sum() == 4
+    assert not mask[d2 == (3 * h) ** 2].any()
+    assert not mask[11, 8] and mask[10, 8]
+    assert np.array_equal(mask, _ref_ball_mask(g, Ball(center, 3 * h)))
+
+
+def test_ball_mask_partly_outside_box():
+    g = build_grid(Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), 10)
+    ball = Ball((0.0, 0.5, 1.05), 0.45)
+    mask = g.ball_mask(ball)
+    assert 0 < mask.sum() * g.cell_volume < 0.5 * 4 / 3 * np.pi * 0.45**3  # under half the ball
+    assert np.array_equal(mask, _ref_ball_mask(g, ball))
+
+
+def test_ball_without_cell_centers():
+    from distlab.monotonicity import ball_extrema
+
+    g = build_grid(CENTERED, 16)
+    f = sample(g, cone)
+    h = g.spacing
+    for ball in (Ball((0.0, 0.0), 0.3 * h), Ball((3.0, 0.0), 0.5)):
+        mask = g.ball_mask(ball)
+        assert mask.shape == g.shape and not mask.any()
+        assert np.array_equal(mask, _ref_ball_mask(g, ball))
+    # the corner (0, 0) is 0.707h from the nearest cell centres
+    with pytest.raises(ValueError, match="ball contains no cell centers at this resolution"):
+        ball_extrema(f, Ball((0.0, 0.0), 0.3 * h), 64)
