@@ -115,8 +115,7 @@ class Grid:
     @cached_property
     def centers(self) -> np.ndarray:
         """Cell centers over the full box, shape ``shape + (dim,)``."""
-        mesh = np.meshgrid(*map(self._axis_coords, range(self.dim)), indexing="ij")
-        return np.stack(mesh, axis=-1)
+        return np.stack(np.meshgrid(*map(self._axis_coords, range(self.dim)), indexing="ij"), axis=-1)
 
     def _axis_coords(self, a: int) -> np.ndarray:
         """Cell-center coordinates along axis ``a``."""
@@ -145,9 +144,10 @@ class Grid:
         return Grid(self.dim, self.shape, self.origin, self.spacing, new_mask, domain=None)
 
     def ball_mask(self, ball: Ball) -> np.ndarray:
-        """Masked cells whose center lies in the open ball.  A sum of
-        nonnegative axis terms is never below a term, so d2 is summed (in axis
-        order, as over the full box) only on the window where each is < r**2."""
+        """Masked cells whose center lies in the open ball.  d2 adds nonnegative
+        axis terms in axis order, so only the window where each is < r**2 is summed."""
+        if ball.dim != self.dim:
+            raise ValueError("ball dimension does not match the grid")
         r2, window, d2 = ball.radius**2, [], 0.0
         for a in range(self.dim):
             t = (self._axis_coords(a) - ball.center[a]) ** 2

@@ -449,6 +449,15 @@ def test_ball_mask_partly_outside_box():
     assert np.array_equal(mask, _ref_ball_mask(g, ball))
 
 
+def test_ball_mask_rejects_other_dimension():
+    for grid, ball in [
+        (build_grid(CENTERED, 8), Ball((0.0, 0.0, 0.0), 0.5)),
+        (build_grid(Box((-1.0,) * 3, (1.0,) * 3), 4), Ball((0.0, 0.0), 0.5)),
+    ]:
+        with pytest.raises(ValueError, match="ball dimension does not match the grid"):
+            grid.ball_mask(ball)
+
+
 def test_ball_without_cell_centers():
     from distlab.monotonicity import ball_extrema
 
