@@ -21,6 +21,7 @@ from distlab.fields import (
     sphere_trace,
     truncate,
 )
+from distlab.monotonicity import ball_extrema
 
 
 UNIT_SQUARE = Box((0.0, 0.0), (1.0, 1.0))
@@ -459,8 +460,6 @@ def test_ball_mask_rejects_other_dimension():
 
 
 def test_ball_without_cell_centers():
-    from distlab.monotonicity import ball_extrema
-
     g = build_grid(CENTERED, 16)
     f = sample(g, cone)
     h = g.spacing
