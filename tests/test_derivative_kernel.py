@@ -1,11 +1,14 @@
-"""Exactness of the planar difference-derivative kernel.
+"""Exactness of the planar difference-derivative kernel and its consumers.
 
-The reference below is the earlier per-entry kernel (boolean stencil
+The references below are the earlier per-entry kernel (boolean stencil
 scatter per derivative, ``np.stack`` into an interleaved ``shape + (d, d)``
-array).  The planar kernel must reproduce it bit for bit, NaN included,
-through every consumer: gradient, grad_norm, differential, op_norm and
-jacobian.  ``grad_norm`` is also checked against its earlier form, the
-norm of a gradient ``VectorMap``.
+array) and the earlier full-box closed forms of ``op_norm``, ``jacobian``,
+the distortion quotient and the minimal defect.  The planar kernel and the
+masked-cell closed forms must reproduce them bit for bit, NaN included,
+through every consumer: gradient, grad_norm, differential, op_norm,
+jacobian, jacobian_parts, pointwise_distortion, residual_defect and
+verify_distortion.  ``grad_norm`` is also checked against its earlier
+form, the norm of a gradient ``VectorMap``.
 """
 
 import numpy as np
@@ -17,7 +20,6 @@ from distlab.fields import (
     Ball,
     Box,
     Grid,
-    MatrixField,
     ScalarField,
     VectorMap,
     build_grid,
@@ -26,6 +28,13 @@ from distlab.fields import (
     gradient,
     jacobian,
     op_norm,
+)
+from distlab.distortion import (
+    DistortionData,
+    jacobian_parts,
+    pointwise_distortion,
+    residual_defect,
+    verify_distortion,
 )
 
 
@@ -91,6 +100,65 @@ def _ref_differential(vm):
     return np.stack(rows, axis=-2)
 
 
+def _ref_sym3_eig_max(a11, a22, a33, a12, a13, a23):
+    p1 = a12**2 + a13**2 + a23**2
+    q = (a11 + a22 + a33) / 3.0
+    p2 = (a11 - q) ** 2 + (a22 - q) ** 2 + (a33 - q) ** 2 + 2.0 * p1
+    p = np.sqrt(np.maximum(p2 / 6.0, 0.0))
+    safe = np.where(p > 0, p, 1.0)
+    b11, b22, b33 = (a11 - q) / safe, (a22 - q) / safe, (a33 - q) / safe
+    b12, b13, b23 = a12 / safe, a13 / safe, a23 / safe
+    detb = (
+        b11 * (b22 * b33 - b23**2)
+        - b12 * (b12 * b33 - b23 * b13)
+        + b13 * (b12 * b23 - b22 * b13)
+    )
+    r = np.clip(detb / 2.0, -1.0, 1.0)
+    phi = np.arccos(r) / 3.0
+    lam = q + 2.0 * p * np.cos(phi)
+    return np.where(p2 > 0, lam, q)
+
+
+def _ref_op_norm(grid, m):
+    """``op_norm`` as it was: the closed forms over the full box."""
+    if grid.dim == 2:
+        a, b = m[..., 0, 0], m[..., 0, 1]
+        c, d = m[..., 1, 0], m[..., 1, 1]
+        smax = 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, b + c))
+    else:
+        def g(i, j):
+            return m[..., 0, i] * m[..., 0, j] + m[..., 1, i] * m[..., 1, j] + m[..., 2, i] * m[..., 2, j]
+
+        lam = _ref_sym3_eig_max(g(0, 0), g(1, 1), g(2, 2), g(0, 1), g(0, 2), g(1, 2))
+        smax = np.sqrt(np.maximum(lam, 0.0))
+    return np.where(grid.mask, smax, np.nan)
+
+
+def _ref_jacobian(grid, m):
+    if grid.dim == 2:
+        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    else:
+        det = (
+            m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
+            - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
+            + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
+        )
+    return np.where(grid.mask, det, np.nan)
+
+
+def _ref_quotient(grid, dn, J):
+    """(sub-mask, data) of the pointwise distortion, or None where undefined."""
+    defined = grid.mask & (J > 1e-12 * dn) & (dn > 0)
+    if not defined.any():
+        return None
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return defined, np.where(defined, dn / J, np.nan)
+
+
+def _ref_residual(grid, dn, J, K):
+    return np.where(grid.mask, np.maximum(dn - K * J, 0.0), np.nan)
+
+
 # ---------------------------------------------------------------- inputs
 
 
@@ -140,14 +208,46 @@ def test_planar_kernel_matches_reference(vm):
     D = differential(vm)
     assert D.data.shape == ref_D.shape
     assert _same(D.data, ref_D)
-    ref_mf = MatrixField(grid, ref_D)
-    assert _same(op_norm(D).data, op_norm(ref_mf).data)
-    assert _same(jacobian(D).data, jacobian(ref_mf).data)
+    assert _same(op_norm(D).data, _ref_op_norm(grid, ref_D))
+    assert _same(jacobian(D).data, _ref_jacobian(grid, ref_D))
 
     for f in vm.components:
         ref_g = _ref_gradient(grid, f.data)
         assert _same(gradient(f).data, ref_g)
         assert _same(grad_norm(f).data, _ref_grad_norm(grid, f.data))
+
+
+@given(vm=masked_maps(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_distortion_consumers_match_full_box_reference(vm, seed):
+    grid = vm.grid
+    try:
+        ref_D = _ref_differential(vm)
+    except ValueError:
+        return  # an isolated cell; covered above
+    dn = _ref_op_norm(grid, ref_D) ** grid.dim
+    J = _ref_jacobian(grid, ref_D)
+    rng = np.random.default_rng(seed)
+    K = ScalarField.from_values(grid, 1.0 + rng.exponential(size=grid.cell_count), nonnegative=True)
+    Sigma = ScalarField.from_values(grid, rng.exponential(size=grid.cell_count), nonnegative=True)
+
+    jplus, jminus = jacobian_parts(vm)
+    assert _same(jplus.data, np.where(grid.mask, np.maximum(J, 0.0), np.nan))
+    assert _same(jminus.data, np.where(grid.mask, np.maximum(-J, 0.0), np.nan))
+    ref_residual = _ref_residual(grid, dn, J, K.data)
+    assert _same(residual_defect(vm, K).data, ref_residual)
+
+    ref_q = _ref_quotient(grid, dn, J)
+    report = verify_distortion(vm, DistortionData(K, Sigma, 4.0, 4.0))
+    assert _same(report.residual_Sigma.data, ref_residual)
+    if ref_q is None:
+        with pytest.raises(ValueError, match="nowhere positive"):
+            pointwise_distortion(vm)
+        assert report.pointwise_K is None
+        return
+    for pk in (pointwise_distortion(vm), report.pointwise_K):
+        assert np.array_equal(pk.grid.mask, ref_q[0])
+        assert _same(pk.data, ref_q[1])
 
 
 @given(vm=masked_maps(), cell=st.integers(0, 2**32 - 1), value=st.sampled_from([np.inf, 1e200]))
