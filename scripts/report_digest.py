@@ -9,8 +9,15 @@ temporary directory, runs the README commands there (plus side-file
 outputs, the chain's CSV form, the ``--y0``, ``--band`` and ``--level``
 options, and an off-centre sweep with radii down to 0.005 and an off-centre
 chain), and prints one ``exit sha256 command`` line per command and per
-side file.  Run it on two trees and diff the
-outputs: equal lines mean byte-identical reports.
+side file.  It then runs one pass of the ``map-3d-96`` and
+``scalar-2d-1024`` benchmark workloads at seed 5, at ``--quick`` and at
+full size, in a child process that imports this checkout's
+``perfbench/workloads.py`` (read-only: no bytecode is written) with SRC
+first on the path.  It prints one ``sha256 name`` line per operation
+report, plus the array hashes of each distortion report's
+``residual_Sigma.data``, ``pointwise_K.data`` and ``pointwise_K.grid.mask``.
+Run it on two trees and diff the outputs: equal lines mean byte-identical
+reports.
 """
 
 import hashlib
@@ -20,6 +27,7 @@ import subprocess
 import sys
 import tempfile
 
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 RES = "256"
 RL_DATA = ["--kfield", "rl.k.json", "--sigmafield", "rl.sigma.json", "--p", "4", "--q", "4"]
 CHAIN = ["monotonicity", "rl.json", "--chain", "--center", "0,0", "--chain-ball", "0.3", "--p", "4", "--q", "4"]
@@ -51,6 +59,36 @@ COMMANDS = [
 ]
 
 
+# one pass of each library workload at seed 5; argv[1] is SRC
+LIBRARY = """
+import hashlib, sys
+from workloads import WORKLOADS
+
+def sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+for name in ("map-3d-96", "scalar-2d-1024"):
+    for quick in (True, False):
+        tag = name + (" --quick" if quick else "")
+        w = WORKLOADS[name](5, quick, ".", sys.argv[1])
+        w.build()
+        for op in w.ops():
+            res = op.call()
+            print(sha(op.report(res).encode()), tag, op.name, flush=True)
+            if hasattr(res, "residual_Sigma"):
+                pk = res.pointwise_K
+                arrays = {
+                    "residual_Sigma.data": res.residual_Sigma.data,
+                    "pointwise_K.data": None if pk is None else pk.data,
+                    "pointwise_K.grid.mask": None if pk is None else pk.grid.mask,
+                }
+                for label, arr in arrays.items():
+                    digest = "none" if arr is None else sha(arr.tobytes())
+                    print(digest, tag, f"{op.name} [{label}]", flush=True)
+        del w
+"""
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -77,6 +115,12 @@ def main(argv: list[str]) -> int:
                 path = pathlib.Path(work, name)
                 digest = _sha(path.read_bytes()) if path.exists() else "missing"
                 print(proc.returncode, digest, f"{shown} [{name}]", flush=True)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(PERFBENCH)]), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run([sys.executable, "-c", LIBRARY, src], cwd=work, env=env, text=True, capture_output=True)
+        print(proc.stdout, end="", flush=True)
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stderr)
+            return 1
     return 0
 
 

@@ -116,11 +116,9 @@ def lebesgue_norm(field: ScalarField, p: float) -> float:
 
 def jacobian_parts(vm: VectorMap) -> tuple[ScalarField, ScalarField]:
     """Positive and negative parts of the Jacobian: J = Jplus - Jminus."""
-    J = jacobian(differential(vm))
-    grid = vm.grid
-    jplus = _as_field(grid, np.maximum(J.data, 0.0), nonnegative=True)
-    jminus = _as_field(grid, np.maximum(-J.data, 0.0), nonnegative=True)
-    return jplus, jminus
+    J = jacobian(differential(vm)).values
+    parts = (np.maximum(J, 0.0), np.maximum(-J, 0.0))
+    return tuple(ScalarField.from_values(vm.grid, part, nonnegative=True) for part in parts)
 
 
 def pointwise_distortion(vm: VectorMap) -> ScalarField:
@@ -133,19 +131,18 @@ def pointwise_distortion(vm: VectorMap) -> ScalarField:
 
 
 def _derivative_powers(vm: VectorMap) -> tuple[np.ndarray, np.ndarray]:
-    """|Df|^n and J_f as full-box arrays, from one difference derivative."""
+    """|Df|^n and J_f on the masked cells, from one difference derivative."""
     D = differential(vm)
-    return op_norm(D).data ** vm.grid.dim, jacobian(D).data
+    return op_norm(D).values ** vm.grid.dim, jacobian(D).values
 
 
 def _quotient(grid, dn: np.ndarray, J: np.ndarray) -> ScalarField:
-    defined = grid.mask & (J > _J_GATE * dn) & (dn > 0)
+    defined = (J > _J_GATE * dn) & (dn > 0)
     if not defined.any():
         raise ValueError("Jacobian is nowhere positive; pointwise distortion undefined")
-    sub = grid.with_mask(defined)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        quot = np.where(defined, dn / J, np.nan)
-    return ScalarField(sub, quot, nonnegative=True)
+    sub = np.zeros(grid.shape, dtype=bool)
+    sub[grid.mask] = defined
+    return ScalarField.from_values(grid.with_mask(sub), dn[defined] / J[defined], nonnegative=True)
 
 
 def residual_defect(vm: VectorMap, K: ScalarField) -> ScalarField:
@@ -155,7 +152,7 @@ def residual_defect(vm: VectorMap, K: ScalarField) -> ScalarField:
     if (K.values < 1.0).any():
         raise ValueError("residual defect expects K >= 1 cellwise")
     dn, J = _derivative_powers(vm)
-    return _as_field(vm.grid, np.maximum(dn - K.data * J, 0.0), nonnegative=True)
+    return ScalarField.from_values(vm.grid, np.maximum(dn - K.values * J, 0.0), nonnegative=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,9 +219,7 @@ def verify_distortion(
     grid = vm.grid
     n = grid.dim
     _require_map_grid(vm, K=data.K, Sigma=data.Sigma)
-    dn_box, J_box = _derivative_powers(vm)
-    dn = dn_box[grid.mask]
-    J = J_box[grid.mask]
+    dn, J = _derivative_powers(vm)
     K = data.K.values
     Sigma = data.Sigma.values
 
@@ -260,10 +255,10 @@ def verify_distortion(
         crit = min(1.0 / kinf if kinf > 0 else math.inf, 1.0 - _inv(data.q))
 
     try:
-        pk = _quotient(grid, dn_box, J_box)
+        pk = _quotient(grid, dn, J)
     except ValueError:
         pk = None
-    residual = _as_field(grid, np.maximum(dn_box - data.K.data * J_box, 0.0), nonnegative=True)
+    residual = ScalarField.from_values(grid, np.maximum(dn - K * J, 0.0), nonnegative=True)
 
     idx = np.nonzero(violated)[0]
     return DistortionReport(

@@ -411,7 +411,9 @@ def differential(vm: VectorMap) -> MatrixField:
 def grad_norm(field: ScalarField) -> ScalarField:
     """Euclidean norm of the finite-difference gradient."""
     planes = _derivative(field.grid, [field.data])[0]
-    return _as_field(field.grid, np.sqrt(sum(p * p for p in planes)), nonnegative=True)
+    with np.errstate(over="ignore"):  # an overflow is rejected as non-finite
+        norm = np.sqrt(sum(p * p for p in planes))
+    return _as_field(field.grid, norm, nonnegative=True)
 
 
 def _sym3_eig_max(a11, a22, a33, a12, a13, a23):
@@ -435,41 +437,46 @@ def _sym3_eig_max(a11, a22, a33, a12, a13, a23):
     return np.where(p2 > 0, lam, q)
 
 
+def _entries(mf: MatrixField) -> list[list[np.ndarray]]:
+    """``e[i][j]`` holds D[i][j] on the masked cells, as a contiguous vector."""
+    d = mf.grid.dim
+    return [[mf.data[..., i, j][mf.grid.mask] for j in range(d)] for i in range(d)]
+
+
 def op_norm(mf: MatrixField) -> ScalarField:
     """Largest singular value per cell (closed forms, no LAPACK calls)."""
-    grid = mf.grid
-    m = mf.data
-    if grid.dim == 2:
-        a, b = m[..., 0, 0], m[..., 0, 1]
-        c, d = m[..., 1, 0], m[..., 1, 1]
-        # Blinn's factorization ("Consider the lowly 2x2 matrix", 1996);
-        # sqrt(q1^2 - 4 det^2) cancels catastrophically on near-conformal cells
-        smax = 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, b + c))
-    else:
-        # Gram matrix M^T M is symmetric: build its six distinct entries
-        # (about half the cost of a full einsum) and take the largest
-        # eigenvalue via the cubic.
-        def g(i, j):
-            return m[..., 0, i] * m[..., 0, j] + m[..., 1, i] * m[..., 1, j] + m[..., 2, i] * m[..., 2, j]
+    m = _entries(mf)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected as non-finite
+        if mf.grid.dim == 2:
+            (a, b), (c, d) = m
+            # Blinn's factorization ("Consider the lowly 2x2 matrix", 1996);
+            # sqrt(q1^2 - 4 det^2) cancels catastrophically on near-conformal cells
+            smax = 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, b + c))
+        else:
+            # Gram matrix M^T M is symmetric: build its six distinct entries
+            # (about half the cost of a full einsum) and take the largest
+            # eigenvalue via the cubic.
+            def g(i, j):
+                return m[0][i] * m[0][j] + m[1][i] * m[1][j] + m[2][i] * m[2][j]
 
-        lam = _sym3_eig_max(g(0, 0), g(1, 1), g(2, 2), g(0, 1), g(0, 2), g(1, 2))
-        smax = np.sqrt(np.maximum(lam, 0.0))
-    return _as_field(grid, smax, nonnegative=True)
+            lam = _sym3_eig_max(g(0, 0), g(1, 1), g(2, 2), g(0, 1), g(0, 2), g(1, 2))
+            smax = np.sqrt(np.maximum(lam, 0.0))
+    return ScalarField.from_values(mf.grid, smax, nonnegative=True)
 
 
 def jacobian(mf: MatrixField) -> ScalarField:
     """Determinant per cell."""
-    grid = mf.grid
-    m = mf.data
-    if grid.dim == 2:
-        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    else:
-        det = (
-            m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
-            - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-            + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
-        )
-    return _as_field(grid, det)
+    m = _entries(mf)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected as non-finite
+        if mf.grid.dim == 2:
+            det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        else:
+            det = (
+                m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+            )
+    return ScalarField.from_values(mf.grid, det)
 
 
 def integrate(field: ScalarField) -> float:

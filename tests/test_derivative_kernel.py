@@ -11,6 +11,9 @@ verify_distortion.  ``grad_norm`` is also checked against its earlier
 form, the norm of a gradient ``VectorMap``.
 """
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -248,6 +251,58 @@ def test_distortion_consumers_match_full_box_reference(vm, seed):
     for pk in (pointwise_distortion(vm), report.pointwise_K):
         assert np.array_equal(pk.grid.mask, ref_q[0])
         assert _same(pk.data, ref_q[1])
+
+
+@pytest.mark.parametrize("fn", [op_norm, jacobian])
+def test_closed_forms_allocate_on_the_mask_only(fn):
+    # a ball holding about 3 % of a 48^3 box: the closed forms must not
+    # build full-box temporaries, only the returned field's array
+    grid = build_grid(Box((-1.0,) * 3, (1.0,) * 3), 48)
+    vm = VectorMap(grid, np.random.default_rng(3).normal(size=grid.shape + (3,)))
+    D = differential(vm.restrict(Ball((0.0, 0.0, 0.0), 0.385)))
+    assert 0.025 < D.grid.cell_count / grid.mask.size < 0.035
+    box_bytes = grid.mask.size * 8
+    tracemalloc.start()
+    try:
+        fn(D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * box_bytes, f"peak {peak / box_bytes:.1f} full-box arrays"
+
+
+def _huge_map(dim, scale, noise):
+    grid = build_grid(Box((-1.0,) * dim, (1.0,) * dim), 6)
+    rng = np.random.default_rng(dim)
+    return VectorMap(grid, scale * (grid.centers + noise * rng.normal(size=grid.shape + (dim,))))
+
+
+def _huge_cell_field():
+    grid = build_grid(Box((-1.0, -1.0), (1.0, 1.0)), 8)
+    data = np.zeros(grid.shape)
+    data[3, 4] = 1e200
+    return ScalarField(grid, data)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: op_norm(differential(_huge_map(3, 1e120, 0.0))),
+        lambda: op_norm(differential(_huge_map(3, 1e200, 1.0))),
+        lambda: jacobian(differential(_huge_map(3, 1e120, 0.0))),
+        lambda: jacobian(differential(_huge_map(2, 1e200, 1.0))),
+        lambda: grad_norm(_huge_cell_field()),
+    ],
+    ids=["op_norm-3d-linear", "op_norm-3d-noisy", "jacobian-3d-linear", "jacobian-2d-noisy", "grad_norm-2d"],
+)
+def test_overflow_raises_only_the_documented_error(call):
+    # finite input whose squares or products overflow (and then give
+    # inf - inf): the contract is the ValueError, with no RuntimeWarning
+    # first, which would be raised instead under the "error" filter
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite on the mask"):
+            call()
 
 
 @given(vm=masked_maps(), cell=st.integers(0, 2**32 - 1), value=st.sampled_from([np.inf, 1e200]))
