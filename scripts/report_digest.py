@@ -79,13 +79,11 @@ for name in ("map-3d-96", "scalar-2d-1024"):
                 pk = res.pointwise_K
                 arrays = {
                     "residual_Sigma.data": res.residual_Sigma.data,
-                    "pointwise_K.data": None if pk is None else pk.data,
-                    "pointwise_K.grid.mask": None if pk is None else pk.grid.mask,
+                    "pointwise_K.data": pk.data,
+                    "pointwise_K.grid.mask": pk.grid.mask,
                 }
                 for label, arr in arrays.items():
-                    digest = "none" if arr is None else sha(arr.tobytes())
-                    print(digest, tag, f"{op.name} [{label}]", flush=True)
-        del w
+                    print(sha(arr.tobytes()), tag, f"{op.name} [{label}]", flush=True)
 """
 
 
