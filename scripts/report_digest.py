@@ -7,9 +7,11 @@ SRC is a checkout (or its ``src/`` directory).  The script exports the
 README fields at 256^2 with ``python -m distlab.cli`` from SRC into a
 temporary directory, runs the README commands there (plus side-file
 outputs, the chain's CSV form, the ``--y0``, ``--band`` and ``--level``
-options, and an off-centre sweep with radii down to 0.005 and an off-centre
-chain), and prints one ``exit sha256 command`` line per command and per
-side file.  It then runs one pass of the ``map-3d-96`` and
+options, an off-centre sweep with radii down to 0.005, an off-centre
+chain, and the exit-1 paths for a file of the wrong kind, a missing
+``--chain-ball`` and an example without data), and prints one
+``exit sha256 command`` line per command and per side file; the hash
+covers stdout and stderr.  It then runs one pass of the ``map-3d-96`` and
 ``scalar-2d-1024`` benchmark workloads at seed 5, at ``--quick`` and at
 full size, in a child process that imports this checkout's
 ``perfbench/workloads.py`` (read-only: no bytecode is written) with SRC
@@ -56,6 +58,17 @@ COMMANDS = [
     (["monotonicity", "rl.json", "--chain", "--center", "0.1,-0.05", "--chain-ball", "0.25", "--p", "4", "--q", "4"], []),
     (["modulus", "--example", "radial_log", "--center", "0,0", "--radii", "1e-6,1e-5,1e-4,1e-3,1e-2"], []),
     (["modulus", "rl.json", "--center", "0,0", "--radii", "0.01,0.02,0.05,0.1,0.2"], []),
+    # exit-1 paths: a file of the other kind, a missing option, an example without data
+    (["analyze", "cone.json"], []),
+    (["modulus", "cone.json", "--radii", "0.1,0.2"], []),
+    (["monotonicity", "cone.json", "--chain", "--chain-ball", "0.3"], []),
+    (["sobolev", "rl.json"], []),
+    (["distribution", "rl.json"], []),
+    (["staircase", "rl.json", "--gamma", "0.5", "--epsilon", "0.4"], []),
+    (["monotonicity", "rl.json", "--radii", "0.1,0.2"], []),
+    (["analyze", "rl.json", "--kfield", "rl.json"], []),
+    (["monotonicity", "rl.json", "--chain"], []),
+    (["gallery", "--export", "cone", "--resolution", "16", "--with-data", "--out", "c16.json"], ["c16.json"]),
 ]
 
 

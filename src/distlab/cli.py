@@ -66,14 +66,6 @@ class UsageError(Exception):
     pass
 
 
-class _Failure(Exception):
-    """Internal: carries a nonzero exit code with a message."""
-
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
 @dataclass(frozen=True)
 class CommandPlan:
     subcommand: str
@@ -125,7 +117,6 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--out", default=None, help="write the report here (default stdout)")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
     g = sub.add_parser("gallery", help="list or export catalog examples")
     g.add_argument("--list", action="store_true")
@@ -168,6 +159,7 @@ def _build_parser() -> _Parser:
     t.add_argument("--gamma", type=float, required=True)
     t.add_argument("--epsilon", type=float, required=True)
     t.add_argument("--max-steps", type=int, default=64)
+    t.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     common(t)
 
     m = sub.add_parser("monotonicity", help="defect sweep, oscillation integral, estimate chain")
@@ -187,6 +179,7 @@ def _build_parser() -> _Parser:
     m.add_argument("--gamma", type=float, default=None)
     m.add_argument("--kfield", default=None)
     m.add_argument("--sigmafield", default=None)
+    m.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json", help="csv needs --chain")
     common(m)
 
     o = sub.add_parser("modulus", help="local modulus of continuity and log-power fit")
@@ -218,6 +211,8 @@ def parse_command(argv: list[str]) -> CommandPlan:
         raise UsageError("gallery --export needs --out PATH")
     if sub == "modulus" and (opts["field"] is None) == (opts["example"] is None):
         raise UsageError("modulus needs exactly one of a map file or --example NAME")
+    if sub == "monotonicity" and fmt == "csv" and not opts["chain"]:
+        raise UsageError("--format csv needs --chain; the defect sweep prints JSON only")
     return CommandPlan(sub, opts, out, fmt)
 
 
@@ -246,17 +241,13 @@ def _emit_json(plan: CommandPlan, doc: dict) -> None:
     _emit(plan, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _read_scalar(path) -> ScalarField:
+def _read(path, kind: type) -> ScalarField | VectorMap:
+    """The field file at ``path``, which must hold a ``kind`` (ScalarField or VectorMap)."""
     obj = read_field(path)
-    if not isinstance(obj, ScalarField):
-        raise _Failure(f"{path}: expected a scalar field (values), found a map", 1)
-    return obj
-
-
-def _read_map(path) -> VectorMap:
-    obj = read_field(path)
-    if not isinstance(obj, VectorMap):
-        raise _Failure(f"{path}: expected a map (components), found a scalar field", 1)
+    if not isinstance(obj, kind):
+        kinds = {ScalarField: "a scalar field", VectorMap: "a map"}
+        payload = "values" if kind is ScalarField else "components"
+        raise ValueError(f"{path}: expected {kinds[kind]} ({payload}), found {kinds[type(obj)]}")
     return obj
 
 
@@ -266,10 +257,9 @@ def _require_nonnegative(field: ScalarField, path: str) -> ScalarField:
     if neg.any():
         pos = int(np.argmax(neg))
         cell = tuple(int(c) for c in np.argwhere(field.grid.mask)[pos])
-        raise _Failure(
+        raise ValueError(
             f"{path}: negative value {vals[pos]!r} at cell {cell}; "
-            "distribution functions need a nonnegative field",
-            1,
+            "distribution functions need a nonnegative field"
         )
     return ScalarField(field.grid, field.data, nonnegative=True)
 
@@ -288,7 +278,7 @@ def _cmd_gallery(plan: CommandPlan) -> int:
     written = [plan.out]
     if opts["with_data"]:
         if ex.analytic_k is None or ex.analytic_sigma is None:
-            raise _Failure(f"example {ex.name!r} carries no analytic distortion data", 1)
+            raise ValueError(f"example {ex.name!r} carries no analytic distortion data")
         base = plan.out[: -len(".json")] if plan.out.endswith(".json") else plan.out
         kpath, spath = base + ".k.json", base + ".sigma.json"
         write_field(sample_analytic_k(ex, sampled.grid), kpath)
@@ -302,13 +292,13 @@ def _read_companion(path: str | None, grid: Grid) -> np.ndarray | None:
     """Full-box data of a --kfield/--sigmafield file (None without one)."""
     if path is None:
         return None
-    field = _read_scalar(path)
+    field = _read(path, ScalarField)
     if not _same_lattice(field.grid, grid):
         theirs, mine = ((list(g.shape), list(g.origin), g.spacing) for g in (field.grid, grid))
-        raise _Failure(f"{path}: grid (shape, origin, spacing) {theirs} is not the map's {mine}", 1)
+        raise ValueError(f"{path}: grid (shape, origin, spacing) {theirs} is not the map's {mine}")
     missing = int((grid.mask & ~field.grid.mask).sum())
     if missing:
-        raise _Failure(f"{path}: no value at {missing} of the map's {grid.cell_count} cells", 1)
+        raise ValueError(f"{path}: no value at {missing} of the map's {grid.cell_count} cells")
     return field.data
 
 
@@ -325,7 +315,7 @@ def _distortion_data(opts: dict, vm: VectorMap) -> DistortionData:
 
 def _cmd_analyze(plan: CommandPlan) -> int:
     opts = plan.options
-    vm = _read_map(opts["map"])
+    vm = _read(opts["map"], VectorMap)
     grid = vm.grid
     data = _distortion_data(opts, vm)
     rep = verify_distortion(vm, data, y0=opts["y0"], rel_tol=opts["rel_tol"])
@@ -342,7 +332,7 @@ def _cmd_analyze(plan: CommandPlan) -> int:
 
 def _cmd_sobolev(plan: CommandPlan) -> int:
     opts = plan.options
-    field = _read_scalar(opts["field"])
+    field = _read(opts["field"], ScalarField)
     which = opts["check"]
     reports = []
     if which in ("sharp", "all"):
@@ -365,7 +355,7 @@ def _cmd_sobolev(plan: CommandPlan) -> int:
 
 def _cmd_distribution(plan: CommandPlan) -> int:
     opts = plan.options
-    field = _require_nonnegative(_read_scalar(opts["field"]), opts["field"])
+    field = _require_nonnegative(_read(opts["field"], ScalarField), opts["field"])
     dist = upper_distribution(field)
     total = dist.total
 
@@ -437,7 +427,7 @@ def _cmd_distribution(plan: CommandPlan) -> int:
 
 def _cmd_staircase(plan: CommandPlan) -> int:
     opts = plan.options
-    field = _require_nonnegative(_read_scalar(opts["field"]), opts["field"])
+    field = _require_nonnegative(_read(opts["field"], ScalarField), opts["field"])
     F = inverse_distribution_fn(field, opts["gamma"])
     result = staircase_approx(F, opts["epsilon"], opts["max_steps"])
     deviation = max_gap_deviation(F, result)
@@ -472,9 +462,9 @@ def _cmd_monotonicity(plan: CommandPlan) -> int:
 
     if opts["chain"]:
         if not isinstance(obj, VectorMap):
-            raise _Failure("--chain needs a map file (components)", 1)
+            raise ValueError("--chain needs a map file (components)")
         if opts["chain_ball"] is None:
-            raise _Failure("--chain needs --chain-ball R", 1)
+            raise UsageError("--chain needs --chain-ball R")
         ball = Ball(center, opts["chain_ball"])
         comp = obj.component(opts["component"])
         ext = ball_extrema(comp, ball, opts["samples"])
@@ -498,7 +488,7 @@ def _cmd_monotonicity(plan: CommandPlan) -> int:
         return 2 if any(not c.holds and c.name not in excused for c in ledger.checks) else 0
 
     if not isinstance(obj, ScalarField):
-        raise _Failure("the defect sweep needs a scalar field file (or pass --chain)", 1)
+        raise ValueError("the defect sweep needs a scalar field file (or pass --chain)")
     if opts["radii"] is None:
         raise UsageError("the defect sweep needs --radii a,b,c")
     radii = sorted(opts["radii"])
@@ -524,12 +514,12 @@ def _cmd_modulus(plan: CommandPlan) -> int:
     if opts["example"] is not None:
         ex = make_example(opts["example"], dim=opts["dim"], **_params(opts["params"]))
         if ex.is_scalar:
-            raise _Failure("modulus needs a map example", 1)
+            raise ValueError("modulus needs a map example")
         evaluator = ex.evaluator
         dim = ex.dim
         grid = None
     else:
-        vm = _read_map(opts["field"])
+        vm = _read(opts["field"], VectorMap)
         dim = vm.grid.dim
         grid = vm.grid
         comps = vm.components
@@ -568,9 +558,6 @@ def execute(plan: CommandPlan) -> int:
     """Run a validated plan; returns the process exit code."""
     try:
         return _HANDLERS[plan.subcommand](plan)
-    except _Failure as exc:
-        sys.stderr.write(f"distlab: {exc}\n")
-        return exc.code
     except (UsageError, FieldFormatError, OSError, ValueError) as exc:
         sys.stderr.write(f"distlab: {exc}\n")
         return 1

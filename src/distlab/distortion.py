@@ -89,12 +89,12 @@ def _inv(p: float) -> float:
     return 0.0 if math.isinf(p) else 1.0 / p
 
 
-def _ratio_norm(Sigma: np.ndarray, K: np.ndarray, q: float, hvol: float) -> float:
-    """L^q norm of Sigma / K over the given cells."""
-    ratio = Sigma / K
-    if math.isinf(q):
-        return float(ratio.max())
-    return float((ratio**q).sum() * hvol) ** (1.0 / q)
+def _lp(vals: np.ndarray, p: float, hvol: float) -> float:
+    """L^p norm of nonnegative cell values on the sampled measure; the
+    essential sup is the max."""
+    if math.isinf(p):
+        return float(vals.max())
+    return float((vals**p).sum() * hvol) ** (1.0 / p)
 
 
 def _require_map_grid(vm: VectorMap, **data: ScalarField) -> None:
@@ -108,10 +108,7 @@ def _require_map_grid(vm: VectorMap, **data: ScalarField) -> None:
 
 def lebesgue_norm(field: ScalarField, p: float) -> float:
     """L^p norm on the sampled measure; the essential sup is the max."""
-    vals = field.values
-    if math.isinf(p):
-        return float(np.abs(vals).max())
-    return float((np.abs(vals) ** p).sum() * field.grid.cell_volume) ** (1.0 / p)
+    return _lp(np.abs(field.values), p, field.grid.cell_volume)
 
 
 def jacobian_parts(vm: VectorMap) -> tuple[ScalarField, ScalarField]:
@@ -133,7 +130,11 @@ def pointwise_distortion(vm: VectorMap) -> ScalarField:
 def _derivative_powers(vm: VectorMap) -> tuple[np.ndarray, np.ndarray]:
     """|Df|^n and J_f on the masked cells, from one difference derivative."""
     D = differential(vm)
-    return op_norm(D).values ** vm.grid.dim, jacobian(D).values
+    with np.errstate(over="ignore"):  # an overflow is rejected as non-finite
+        dn = op_norm(D).values ** vm.grid.dim
+    if not np.isfinite(dn).all():
+        raise ValueError("field values must be finite on the mask")
+    return dn, jacobian(D).values
 
 
 def _quotient(grid, dn: np.ndarray, J: np.ndarray) -> ScalarField:
@@ -247,7 +248,7 @@ def verify_distortion(
 
     finite_sigma = np.isfinite(Sigma)
     usable = finite_sigma & (K > 0)
-    sk_norm = _ratio_norm(Sigma[usable], K[usable], data.q, grid.cell_volume) if usable.any() else 0.0
+    sk_norm = _lp(Sigma[usable] / K[usable], data.q, grid.cell_volume) if usable.any() else 0.0
     k_norm = lebesgue_norm(data.K, data.p)
     crit = None
     if math.isinf(data.p):

@@ -16,7 +16,7 @@ level-set bounds monotone under floating-point rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -166,13 +166,7 @@ class PowerIntegralResult:
     trimmed_value: float | None = None  # lower version with the top level removed
 
     def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "bound": self.bound,
-            "relation": self.relation,
-            "holds": self.holds,
-            "trimmed_value": self.trimmed_value,
-        }
+        return asdict(self)
 
 
 _REL_SLACK = 1e-12  # float headroom on the exact sampled-measure orderings

@@ -44,9 +44,7 @@ def _domain_descriptor(grid: Grid):
 
 
 def _array_with_nulls(grid: Grid, data: np.ndarray) -> list:
-    flat = data.reshape(-1)
-    mask = grid.mask.reshape(-1)
-    return [float(v) if m else None for v, m in zip(flat, mask)]
+    return np.where(grid.mask, data, None).reshape(-1).tolist()
 
 
 def field_document(obj: ScalarField | VectorMap) -> dict:
@@ -151,8 +149,7 @@ def field_from_document(doc: dict) -> ScalarField | VectorMap:
 
 def write_field(obj: ScalarField | VectorMap, path) -> None:
     with open(path, "w") as fh:
-        json.dump(field_document(obj), fh)
-        fh.write("\n")
+        fh.write(json.dumps(field_document(obj)) + "\n")  # dumps runs the C encoder, dump does not
 
 
 def read_field(path) -> ScalarField | VectorMap:

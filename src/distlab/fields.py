@@ -378,13 +378,14 @@ def _axis_derivative(grid: Grid, comps: Sequence[np.ndarray], axis: int, planes:
         return tuple(idx)
 
     mid, lower, upper = cut(1, -1), cut(None, -1), cut(1, None)
-    for f, plane in zip(comps, planes):
-        np.subtract(f[cut(2, None)], f[cut(None, -2)], out=plane[mid], where=both[mid])
-        np.divide(plane[mid], 2 * h, out=plane[mid], where=both[mid])
-        with np.errstate(invalid="ignore"):  # off-mask entries are never kept
+    # off-mask entries are never kept; an overflow is rejected as non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f, plane in zip(comps, planes):
+            np.subtract(f[cut(2, None)], f[cut(None, -2)], out=plane[mid], where=both[mid])
+            np.divide(plane[mid], 2 * h, out=plane[mid], where=both[mid])
             step = f[upper] - f[lower]
-        np.divide(step, h, out=plane[lower], where=only_hi[lower])
-        np.divide(step, h, out=plane[upper], where=only_lo[upper])
+            np.divide(step, h, out=plane[lower], where=only_hi[lower])
+            np.divide(step, h, out=plane[upper], where=only_lo[upper])
 
 
 def _derivative(grid: Grid, comps: Sequence[np.ndarray]) -> np.ndarray:

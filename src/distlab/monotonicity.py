@@ -14,12 +14,12 @@ explicit constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .distribution import upper_distribution
-from .distortion import DistortionData, _inv, _ratio_norm, _require_map_grid, lebesgue_norm
+from .distortion import DistortionData, _inv, _lp, _require_map_grid, lebesgue_norm
 from .fields import (
     Ball,
     ScalarField,
@@ -106,13 +106,7 @@ class DefectFit:
     monotone: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "C": self.C,
-            "alpha": self.alpha,
-            "radii_used": list(self.radii_used),
-            "residual": self.residual,
-            "monotone": self.monotone,
-        }
+        return asdict(self)
 
 
 def fit_defect_law(field: ScalarField, center, radii, samples: int | None = None) -> DefectFit:
@@ -237,28 +231,6 @@ _CHAIN_NAMES = (
 )
 
 
-def _trivial_ledger(entries_base: dict) -> ChainLedger:
-    entries = dict(entries_base)
-    entries.update(
-        {
-            "sup_phi": 0.0,
-            "sup_phi_n": 0.0,
-            "grad_weight_integral": 0.0,
-            "superlevel_bound_n": 0.0,
-            "energy": 0.0,
-            "jacobian_residual": 0.0,
-            "sigma_holder_term": 0.0,
-            "p1_integral": 0.0,
-            "p2_integral": 0.0,
-            "p1_integral_bound": 0.0,
-            "p2_integral_bound": 0.0,
-            "final_bound": 0.0,
-        }
-    )
-    checks = tuple(ChainCheck(name, 0.0, 0.0, True) for name in _CHAIN_NAMES)
-    return ChainLedger(entries, checks, trivial=True, support_warning=False)
-
-
 def sup_bound_chain(
     vm: VectorMap,
     data: DistortionData,
@@ -303,7 +275,7 @@ def sup_bound_chain(
     gamma1p = (n - 1.0 - gamma) / e1
     gamma2p = gamma / e2
     k_norm = lebesgue_norm(data.K, p)
-    sk_norm = _ratio_norm(Sigma, K, q, grid.cell_volume)
+    sk_norm = _lp(Sigma / K, q, grid.cell_volume)
     c_final = (1.0 / (n**n * omega)) * (1.0 / (1.0 - gamma2p)) ** e2 * (
         1.0 / (1.0 - gamma1p)
     ) ** e1
@@ -326,81 +298,72 @@ def sup_bound_chain(
     }
 
     phi = truncate(vm.component(i), level, mode)
-    if phi.max() == 0.0:
-        return _trivial_ledger(entries)
-
-    # chain rule, for both modes: D phi = +-D f_i on {phi > 0} and 0 elsewhere.
-    # So |grad phi| is the norm of row i of D f there, and g = f with f_i
-    # replaced by +-phi (the sign of f_i - level) has J_g = J_f there: one
-    # derivative of f, and no difference taken across the kink of phi
-    D = differential(vm)
-    support = phi.values > 0
-    row = D.data[..., i, :][grid.mask]
-    gn = np.where(support, np.sqrt((row**2).sum(axis=-1)), 0.0)
-    Jg = np.where(support, jacobian(D).values, 0.0)
-
-    hvol = grid.cell_volume
-    dist = upper_distribution(phi)
-    mu_of = dist.mu_plus(phi.values)
-
     sup_phi = phi.max()
+    trivial = sup_phi == 0.0
+    if trivial:  # every computed quantity of the empty truncation reads 0
+        G = energy = rho = p1 = p2 = p1_bound = p2_bound = final_bound = neg_max = 0.0
+    else:
+        # chain rule, for both modes: D phi = +-D f_i on {phi > 0} and 0 elsewhere.
+        # So |grad phi| is the norm of row i of D f there, and g = f with f_i
+        # replaced by +-phi (the sign of f_i - level) has J_g = J_f there: one
+        # derivative of f, and no difference taken across the kink of phi
+        D = differential(vm)
+        support = phi.values > 0
+        row = D.data[..., i, :][grid.mask]
+        gn = np.where(support, np.sqrt((row**2).sum(axis=-1)), 0.0)
+        Jg = np.where(support, jacobian(D).values, 0.0)
+
+        hvol = grid.cell_volume
+        mu_of = upper_distribution(phi).mu_plus(phi.values)
+
+        G = float((gn * mu_of ** (-(n - 1.0) / n)).sum() * hvol)
+        energy = float((gn**n / (K * mu_of**gamma)).sum() * hvol)
+        rho = float((Jg * mu_of**-gamma).sum() * hvol)
+        p1 = float((mu_of**-gamma1p).sum() * hvol)
+        p2 = float((mu_of**-gamma2p).sum() * hvol)
+        p1_bound = m ** (1.0 - gamma1p) / (1.0 - gamma1p)
+        p2_bound = m ** (1.0 - gamma2p) / (1.0 - gamma2p)
+        final_bound = c_final * k_norm * sk_norm * m ** (1.0 - _inv(p) - _inv(q))
+
+        # negative-part bound K Jg^- <= Sigma, implied cellwise wherever the
+        # distortion inequality for g itself passes
+        cell_tol = TOL_REL * (1.0 + gn**n + np.abs(K * Jg)) + TOL_ABS
+        g_passes = gn**n <= K * Jg + Sigma + cell_tol
+        neg_excess = K * np.maximum(-Jg, 0.0) - Sigma - cell_tol
+        neg_max = float(np.maximum(neg_excess[g_passes], -np.inf).max(initial=-np.inf))
+
     sup_phi_n = sup_phi**n
-    w_sob = mu_of ** (-(n - 1.0) / n)
-    G = float((gn * w_sob).sum() * hvol)
     superlevel_n = G**n / (n**n * omega)
-    energy = float((gn**n / (K * mu_of**gamma)).sum() * hvol)
-    rho = float((Jg * mu_of**-gamma).sum() * hvol)
-    p1 = float((mu_of**-gamma1p).sum() * hvol)
-    p2 = float((mu_of**-gamma2p).sum() * hvol)
-    p1_bound = m ** (1.0 - gamma1p) / (1.0 - gamma1p)
-    p2_bound = m ** (1.0 - gamma2p) / (1.0 - gamma2p)
     sigma_holder = sk_norm * p2**e2
-    final_bound = c_final * k_norm * sk_norm * m ** (1.0 - _inv(p) - _inv(q))
-
-    # negative-part bound K Jg^- <= Sigma, implied cellwise wherever the
-    # distortion inequality for g itself passes
-    cell_tol = TOL_REL * (1.0 + gn**n + np.abs(K * Jg)) + TOL_ABS
-    g_passes = gn**n <= K * Jg + Sigma + cell_tol
-    neg_excess = K * np.maximum(-Jg, 0.0) - Sigma - cell_tol
-    neg_max = float(np.maximum(neg_excess[g_passes], -np.inf).max(initial=-np.inf))
-
     entries.update(
-        {
-            "sup_phi": sup_phi,
-            "sup_phi_n": sup_phi_n,
-            "grad_weight_integral": G,
-            "superlevel_bound_n": superlevel_n,
-            "energy": energy,
-            "jacobian_residual": rho,
-            "sigma_holder_term": sigma_holder,
-            "p1_integral": p1,
-            "p2_integral": p2,
-            "p1_integral_bound": p1_bound,
-            "p2_integral_bound": p2_bound,
-            "final_bound": final_bound,
-        }
+        sup_phi=sup_phi,
+        sup_phi_n=sup_phi_n,
+        grad_weight_integral=G,
+        superlevel_bound_n=superlevel_n,
+        energy=energy,
+        jacobian_residual=rho,
+        sigma_holder_term=sigma_holder,
+        p1_integral=p1,
+        p2_integral=p2,
+        p1_integral_bound=p1_bound,
+        p2_integral_bound=p2_bound,
+        final_bound=final_bound,
     )
+
+    def check(name, lhs, rhs, rel=TOL_REL):
+        return ChainCheck(name, lhs, rhs, holds(lhs, rhs, rel))
 
     checks = (
-        ChainCheck("a_superlevel", sup_phi_n, superlevel_n, holds(sup_phi_n, superlevel_n)),
-        ChainCheck(
-            "b_holder_split",
-            G**n,
-            energy * k_norm * p1**e1,
-            holds(G**n, energy * k_norm * p1**e1, _EXACT_REL),
-        ),
-        ChainCheck(
-            "c_energy_bound",
-            energy,
-            rho + sigma_holder,
-            holds(energy, rho + sigma_holder),
-        ),
-        ChainCheck("p1_measure_bound", p1, p1_bound, holds(p1, p1_bound, _EXACT_REL)),
-        ChainCheck("p2_measure_bound", p2, p2_bound, holds(p2, p2_bound, _EXACT_REL)),
-        ChainCheck("d_final_bound", sup_phi_n, final_bound, holds(sup_phi_n, final_bound)),
+        check("a_superlevel", sup_phi_n, superlevel_n),
+        check("b_holder_split", G**n, energy * k_norm * p1**e1, _EXACT_REL),
+        check("c_energy_bound", energy, rho + sigma_holder),
+        check("p1_measure_bound", p1, p1_bound, _EXACT_REL),
+        check("p2_measure_bound", p2, p2_bound, _EXACT_REL),
+        check("d_final_bound", sup_phi_n, final_bound),
         ChainCheck("negative_part", neg_max, 0.0, neg_max <= 0.0),
     )
-    return ChainLedger(entries, checks, trivial=False, support_warning=not boundary_support_ok(phi))
+    support_warning = not trivial and not boundary_support_ok(phi)
+    return ChainLedger(entries, checks, trivial=trivial, support_warning=support_warning)
 
 
 # --------------------------------------------------------- modulus machinery

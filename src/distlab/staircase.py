@@ -42,7 +42,7 @@ class MonotoneFn:
     ``kind`` is "step" (exact jump data: ``jumps`` strictly increasing,
     ``piece_values`` of length len(jumps)+1, value j held on the interval
     (jumps[j-1], jumps[j]], value 0 on [0, jumps[0]]) or "analytic"
-    (a callable plus an optional explicit ``sup_finite`` = s).
+    (a callable).
     """
 
     kind: str
@@ -50,7 +50,6 @@ class MonotoneFn:
     jumps: np.ndarray | None = None
     piece_values: np.ndarray | None = None
     fn: Callable[[float], float] | None = None
-    sup_finite: float | None = None
 
     def __post_init__(self):
         if self.kind == "step":
@@ -80,8 +79,8 @@ class MonotoneFn:
         return cls("step", float(value_at_infinity), jumps=jumps, piece_values=piece_values)
 
     @classmethod
-    def analytic(cls, fn, value_at_infinity, sup_finite=None) -> "MonotoneFn":
-        return cls("analytic", float(value_at_infinity), fn=fn, sup_finite=sup_finite)
+    def analytic(cls, fn, value_at_infinity) -> "MonotoneFn":
+        return cls("analytic", float(value_at_infinity), fn=fn)
 
     def __call__(self, t):
         if self.kind == "step":
@@ -103,13 +102,9 @@ class MonotoneFn:
             if below == len(self.piece_values):
                 return math.inf
             return float(self.jumps[below - 1])
-        if self.sup_finite is not None:
-            return float(self.sup_finite)
         finf = self.value_at_infinity
         if math.isinf(finf):
-            # cannot certify a finite s numerically; callers with a
-            # finite-s analytic F must pass sup_finite explicitly
-            return math.inf
+            return math.inf  # a finite s cannot be certified numerically
         if self.fn(0.0) >= finf:
             return 0.0
         hi = 1.0

@@ -379,6 +379,99 @@ def test_sobolev_violation_exits_2(tmp_path, capsys):
     assert not doc["all_hold"]
 
 
+# ----------------------------------------------------------------- error paths
+
+
+def _scalar_and_map(tmp_path, capsys):
+    return cone_file(tmp_path, 16), str(_export_radial_log(tmp_path, capsys, res=16))
+
+
+def _fails_with(argv, capsys, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"distlab: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "modulus"])
+def test_scalar_file_where_a_map_is_expected(tmp_path, capsys, command):
+    cone, _ = _scalar_and_map(tmp_path, capsys)
+    argv = [command, cone] + (["--radii", "0.1,0.2"] if command == "modulus" else [])
+    _fails_with(argv, capsys, f"{cone}: expected a map (components), found a scalar field")
+
+
+def test_scalar_file_where_the_chain_expects_a_map(tmp_path, capsys):
+    cone, _ = _scalar_and_map(tmp_path, capsys)
+    _fails_with(["monotonicity", cone, "--chain", "--chain-ball", "0.3"], capsys,
+                "--chain needs a map file (components)")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sobolev", "{map}"],
+        ["distribution", "{map}"],
+        ["staircase", "{map}", "--gamma", "0.5", "--epsilon", "0.4"],
+        ["analyze", "{map}", "--kfield", "{map}"],
+    ],
+    ids=["sobolev", "distribution", "staircase", "kfield"],
+)
+def test_map_file_where_a_scalar_is_expected(tmp_path, capsys, argv):
+    _, rl = _scalar_and_map(tmp_path, capsys)
+    _fails_with([a.format(map=rl) for a in argv], capsys,
+                f"{rl}: expected a scalar field (values), found a map")
+
+
+def test_map_file_where_the_sweep_expects_a_scalar(tmp_path, capsys):
+    _, rl = _scalar_and_map(tmp_path, capsys)
+    _fails_with(["monotonicity", rl, "--radii", "0.1,0.2"], capsys,
+                "the defect sweep needs a scalar field file (or pass --chain)")
+
+
+def test_chain_without_a_ball(tmp_path, capsys):
+    _, rl = _scalar_and_map(tmp_path, capsys)
+    _fails_with(["monotonicity", rl, "--chain"], capsys, "--chain needs --chain-ball R")
+
+
+def test_gallery_with_data_for_an_example_without_data(tmp_path, capsys):
+    argv = ["gallery", "--export", "cone", "--resolution", "16", "--with-data", "--out", str(tmp_path / "c.json")]
+    _fails_with(argv, capsys, "example 'cone' carries no analytic distortion data")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gallery", "--list"],
+        ["analyze", "{map}"],
+        ["sobolev", "{cone}"],
+        ["distribution", "{cone}"],
+        ["modulus", "--example", "radial_log", "--radii", "0.1,0.01,0.001"],
+        ["monotonicity", "{cone}", "--radii", "0.1,0.2"],
+    ],
+    ids=["gallery", "analyze", "sobolev", "distribution", "modulus", "sweep"],
+)
+def test_format_csv_rejected_where_it_does_not_act(tmp_path, capsys, argv):
+    # these commands only print JSON; --format is accepted only by
+    # staircase and monotonicity --chain
+    cone, rl = _scalar_and_map(tmp_path, capsys)
+    assert main([a.format(cone=cone, map=rl) for a in argv] + ["--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--format" in captured.err
+
+
+def test_chain_csv_rows_are_the_json_checks(tmp_path, capsys):
+    rl = str(_export_radial_log(tmp_path, capsys, res=64))
+    for level in ([], ["--level", "0"], ["--level", "10"]):  # boundary max, no support, empty
+        chain = ["monotonicity", rl, "--chain", "--center", "0,0", "--chain-ball", "0.3", *level]
+        code = main(chain)
+        doc = json.loads(capsys.readouterr().out)
+        assert main(chain + ["--format", "csv"]) == code
+        rows = [f"{n},{doc[f'check_{n}']['lhs']!r},{doc[f'check_{n}']['rhs']!r},{doc[f'check_{n}']['holds']}"
+                for n in monotonicity._CHAIN_NAMES]
+        assert capsys.readouterr().out == "\n".join(["name,lhs,rhs,holds", *rows]) + "\n"
+
+
 # ---------------------------------------------------------------- determinism
 
 

@@ -305,6 +305,63 @@ def test_overflow_raises_only_the_documented_error(call):
             call()
 
 
+def _noise_map():
+    grid = build_grid(Box((-1.0, -1.0), (1.0, 1.0)), 6)
+    return VectorMap(grid, 1e160 * np.random.default_rng(0).standard_normal(grid.shape + (2,)))
+
+
+def _unit_data(grid):
+    return DistortionData(*(ScalarField.from_values(grid, np.full(grid.cell_count, c)) for c in (1.0, 0.0)))
+
+
+def _antipodal_map():
+    # finite values +-1.7e308 two cells apart in both components; h = 2, so
+    # only the central difference overflows, in the subtraction
+    grid = build_grid(Box((-6.0, -6.0), (6.0, 6.0)), 6)
+    data = np.zeros(grid.shape + (2,))
+    data[1, 3], data[3, 3] = 1.7e308, -1.7e308
+    return VectorMap(grid, data)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda vm: residual_defect(vm, _unit_data(vm.grid).K),
+        lambda vm: verify_distortion(vm, _unit_data(vm.grid)),
+        pointwise_distortion,
+    ],
+    ids=["residual_defect", "verify_distortion", "pointwise_distortion"],
+)
+def test_distortion_power_overflow_raises_only_the_documented_error(call):
+    # |Df| is finite on the 1e160 noise map, but |Df|^n overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite on the mask"):
+            call(_noise_map())
+
+
+@pytest.mark.parametrize(
+    "call", [lambda vm: grad_norm(vm.component(0)), differential], ids=["grad_norm", "differential"]
+)
+def test_difference_overflow_raises_only_the_documented_error(call):
+    # the difference of the +-1.7e308 values itself overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite on the mask"):
+            call(_antipodal_map())
+
+
+def test_pointwise_distortion_keeps_no_cell_with_overflowing_power():
+    # on x > 0 the map is diag(1e200, 1e-200): J = 1 but |Df|^2 overflows, so
+    # those cells must not silently drop out of the quotient's sub-mask
+    grid = build_grid(Box((-1.0, -1.0), (1.0, 1.0)), 8)
+    x, y = grid.centers[..., 0], grid.centers[..., 1]
+    right = x > 0
+    vm = VectorMap(grid, np.stack([np.where(right, 1e200 * x, x), np.where(right, 1e-200 * y, y)], axis=-1))
+    with pytest.raises(ValueError, match="finite on the mask"):
+        pointwise_distortion(vm)
+
+
 @given(vm=masked_maps(), cell=st.integers(0, 2**32 - 1), value=st.sampled_from([np.inf, 1e200]))
 @settings(max_examples=40, deadline=None)
 def test_grad_norm_rejects_nonfinite_like_reference(vm, cell, value):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from distlab.distortion import DistortionData, residual_defect
 from distlab.fields import Ball, Box, ScalarField, build_grid, sample
 from distlab.gallery import make_example, sample_analytic_k, sample_map
 from distlab.monotonicity import (
+    _CHAIN_NAMES,
     awm_defect,
     ball_extrema,
     dyadic_osc_integral,
@@ -241,6 +243,21 @@ def test_chain_empty_truncation_trivial():
     assert led.trivial and led.holds_all
     assert led.entries["sup_phi_n"] == 0.0
     assert led.entries["final_bound"] == 0.0
+
+
+def test_chain_empty_truncation_ledger_is_all_zero():
+    # every computed quantity and every check of the empty truncation reads
+    # +0.0, in the same key order as a nondegenerate ledger
+    vms, data, ext = chain_setup(res=128)
+    led = sup_bound_chain(vms, data, 0, ext.interior_max + 1.0, "above")
+    full = sup_bound_chain(vms, data, 0, ext.boundary_max, "above")
+    assert list(led.as_dict()) == list(full.as_dict())
+    computed = list(led.entries)[list(led.entries).index("component") + 1 :]
+    assert len(computed) == 12
+    assert json.dumps([led.entries[k] for k in computed]) == json.dumps([0.0] * 12)
+    assert led.csv() == "name,lhs,rhs,holds\n" + "".join(f"{n},0.0,0.0,True\n" for n in _CHAIN_NAMES)
+    assert led.support_warning is False
+    assert all(type(c.holds) is bool for c in led.checks + full.checks)
 
 
 def test_chain_nondegenerate_bump_map():
