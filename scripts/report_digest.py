@@ -16,8 +16,9 @@ covers stdout and stderr.  It then runs one pass of the ``map-3d-96`` and
 full size, in a child process that imports this checkout's
 ``perfbench/workloads.py`` (read-only: no bytecode is written) with SRC
 first on the path.  It prints one ``sha256 name`` line per operation
-report, plus the array hashes of each distortion report's
-``residual_Sigma.data``, ``pointwise_K.data`` and ``pointwise_K.grid.mask``.
+report; after each ``map-3d-96`` ``verify_distortion`` report it also hashes
+the arrays ``residual_defect(vm, K).data``, ``pointwise_distortion(vm).data``
+and ``pointwise_distortion(vm).grid.mask`` for that check's map and K.
 Run it on two trees and diff the outputs: equal lines mean byte-identical
 reports.
 """
@@ -75,6 +76,7 @@ COMMANDS = [
 # one pass of each library workload at seed 5; argv[1] is SRC
 LIBRARY = """
 import hashlib, sys
+from distlab.distortion import pointwise_distortion, residual_defect
 from workloads import WORKLOADS
 
 def sha(data):
@@ -85,13 +87,20 @@ for name in ("map-3d-96", "scalar-2d-1024"):
         tag = name + (" --quick" if quick else "")
         w = WORKLOADS[name](5, quick, ".", sys.argv[1])
         w.build()
+        checked = {}  # the map and K of each verify_distortion operation
+        if name == "map-3d-96":
+            checked = {
+                "verify_distortion[radial_log]": (w.rl_map, w.rl_data.K),
+                "verify_distortion[bump]": (w.sub, w.K2),
+            }
         for op in w.ops():
             res = op.call()
             print(sha(op.report(res).encode()), tag, op.name, flush=True)
-            if hasattr(res, "residual_Sigma"):
-                pk = res.pointwise_K
+            if op.name in checked:
+                vm, K = checked[op.name]
+                pk = pointwise_distortion(vm)
                 arrays = {
-                    "residual_Sigma.data": res.residual_Sigma.data,
+                    "residual_Sigma.data": residual_defect(vm, K).data,
                     "pointwise_K.data": pk.data,
                     "pointwise_K.grid.mask": pk.grid.mask,
                 }

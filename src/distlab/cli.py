@@ -34,7 +34,7 @@ from .distribution import (
     verify_level_bounds,
 )
 from .fieldio import FieldFormatError, read_field, write_field
-from .fields import Ball, Grid, ScalarField, VectorMap, _as_field, _same_lattice, interpolate
+from .fields import Ball, Grid, ScalarField, VectorMap, _same_lattice, interpolate
 from .gallery import (
     list_examples,
     make_example,
@@ -251,7 +251,7 @@ def _read(path, kind: type) -> ScalarField | VectorMap:
     return obj
 
 
-def _require_nonnegative(field: ScalarField, path: str) -> ScalarField:
+def _require_nonnegative(field: ScalarField, path: str) -> None:
     vals = field.values
     neg = vals < 0
     if neg.any():
@@ -261,7 +261,6 @@ def _require_nonnegative(field: ScalarField, path: str) -> ScalarField:
             f"{path}: negative value {vals[pos]!r} at cell {cell}; "
             "distribution functions need a nonnegative field"
         )
-    return ScalarField(field.grid, field.data, nonnegative=True)
 
 
 # ------------------------------------------------------------------ handlers
@@ -289,7 +288,7 @@ def _cmd_gallery(plan: CommandPlan) -> int:
 
 
 def _read_companion(path: str | None, grid: Grid) -> np.ndarray | None:
-    """Full-box data of a --kfield/--sigmafield file (None without one)."""
+    """Values of a --kfield/--sigmafield file on the map's cells (None without one)."""
     if path is None:
         return None
     field = _read(path, ScalarField)
@@ -299,17 +298,20 @@ def _read_companion(path: str | None, grid: Grid) -> np.ndarray | None:
     missing = int((grid.mask & ~field.grid.mask).sum())
     if missing:
         raise ValueError(f"{path}: no value at {missing} of the map's {grid.cell_count} cells")
-    return field.data
+    return field.data[grid.mask]
 
 
 def _distortion_data(opts: dict, vm: VectorMap) -> DistortionData:
     """K from --kfield (default 1) and Sigma from --sigmafield (default: the
     minimal defect for K); both files are checked before any derivative work."""
     grid = vm.grid
-    kdata = _read_companion(opts["kfield"], grid)
-    sdata = _read_companion(opts["sigmafield"], grid)
-    K = _as_field(grid, 1.0 if kdata is None else kdata, nonnegative=True)
-    S = residual_defect(vm, K) if sdata is None else ScalarField(grid, sdata, nonnegative=True, allow_infinite=True)
+    kvals = _read_companion(opts["kfield"], grid)
+    svals = _read_companion(opts["sigmafield"], grid)
+    K = ScalarField.from_values(grid, np.ones(grid.cell_count) if kvals is None else kvals, nonnegative=True)
+    if svals is None:
+        S = residual_defect(vm, K)
+    else:
+        S = ScalarField.from_values(grid, svals, nonnegative=True, allow_infinite=True)
     return DistortionData(K, S, opts["p"], opts["q"])
 
 
@@ -334,16 +336,18 @@ def _cmd_sobolev(plan: CommandPlan) -> int:
     opts = plan.options
     field = _read(opts["field"], ScalarField)
     which = opts["check"]
+    band = which == "band" or (which == "all" and opts["band"] is not None)
+    if band and (opts["band"] is None or len(opts["band"]) != 2):
+        raise UsageError("band check needs --band A,B")
+    if band or which in ("superlevel", "all"):
+        _require_nonnegative(field, opts["field"])
     reports = []
     if which in ("sharp", "all"):
         reports.append(sharp_sobolev_check(field))
     if which in ("superlevel", "all"):
-        reports.append(superlevel_check(_require_nonnegative(field, opts["field"])))
-    if which == "band" or (which == "all" and opts["band"] is not None):
-        if opts["band"] is None or len(opts["band"]) != 2:
-            raise UsageError("band check needs --band A,B")
-        a, b = opts["band"]
-        reports.append(band_bound_check(_require_nonnegative(field, opts["field"]), a, b))
+        reports.append(superlevel_check(field))
+    if band:
+        reports.append(band_bound_check(field, *opts["band"]))
     doc = {
         "checks": [r.as_dict() for r in reports],
         "all_hold": all(r.holds for r in reports),
@@ -355,7 +359,8 @@ def _cmd_sobolev(plan: CommandPlan) -> int:
 
 def _cmd_distribution(plan: CommandPlan) -> int:
     opts = plan.options
-    field = _require_nonnegative(_read(opts["field"], ScalarField), opts["field"])
+    field = _read(opts["field"], ScalarField)
+    _require_nonnegative(field, opts["field"])
     dist = upper_distribution(field)
     total = dist.total
 
@@ -427,7 +432,8 @@ def _cmd_distribution(plan: CommandPlan) -> int:
 
 def _cmd_staircase(plan: CommandPlan) -> int:
     opts = plan.options
-    field = _require_nonnegative(_read(opts["field"], ScalarField), opts["field"])
+    field = _read(opts["field"], ScalarField)
+    _require_nonnegative(field, opts["field"])
     F = inverse_distribution_fn(field, opts["gamma"])
     result = staircase_approx(F, opts["epsilon"], opts["max_steps"])
     deviation = max_gap_deviation(F, result)
@@ -453,7 +459,7 @@ def _cmd_staircase(plan: CommandPlan) -> int:
 
 def _cmd_monotonicity(plan: CommandPlan) -> int:
     opts = plan.options
-    obj = read_field(opts["field"])
+    obj = _read(opts["field"], VectorMap if opts["chain"] else ScalarField)
     grid = obj.grid
     center = opts["center"]
     if center is None:
@@ -461,8 +467,6 @@ def _cmd_monotonicity(plan: CommandPlan) -> int:
     center = tuple(center)
 
     if opts["chain"]:
-        if not isinstance(obj, VectorMap):
-            raise ValueError("--chain needs a map file (components)")
         if opts["chain_ball"] is None:
             raise UsageError("--chain needs --chain-ball R")
         ball = Ball(center, opts["chain_ball"])
@@ -487,8 +491,6 @@ def _cmd_monotonicity(plan: CommandPlan) -> int:
         excused = ("a_superlevel", "c_energy_bound", "d_final_bound") if ledger.support_warning else ()
         return 2 if any(not c.holds and c.name not in excused for c in ledger.checks) else 0
 
-    if not isinstance(obj, ScalarField):
-        raise ValueError("the defect sweep needs a scalar field file (or pass --chain)")
     if opts["radii"] is None:
         raise UsageError("the defect sweep needs --radii a,b,c")
     radii = sorted(opts["radii"])

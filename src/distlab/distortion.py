@@ -25,7 +25,6 @@ import numpy as np
 from .fields import (
     ScalarField,
     VectorMap,
-    _as_field,
     _same_lattice,
     boundary_support_ok,
     differential,
@@ -124,7 +123,14 @@ def pointwise_distortion(vm: VectorMap) -> ScalarField:
     Returns a field on the sub-masked grid {J > 1e-12 |Df|^n}; everywhere
     else the quotient is undefined.
     """
-    return _quotient(vm.grid, *_derivative_powers(vm))
+    grid = vm.grid
+    dn, J = _derivative_powers(vm)
+    defined = (J > _J_GATE * dn) & (dn > 0)
+    if not defined.any():
+        raise ValueError("Jacobian is nowhere positive; pointwise distortion undefined")
+    sub = np.zeros(grid.shape, dtype=bool)
+    sub[grid.mask] = defined
+    return ScalarField.from_values(grid.with_mask(sub), dn[defined] / J[defined], nonnegative=True)
 
 
 def _derivative_powers(vm: VectorMap) -> tuple[np.ndarray, np.ndarray]:
@@ -135,15 +141,6 @@ def _derivative_powers(vm: VectorMap) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(dn).all():
         raise ValueError("field values must be finite on the mask")
     return dn, jacobian(D).values
-
-
-def _quotient(grid, dn: np.ndarray, J: np.ndarray) -> ScalarField:
-    defined = (J > _J_GATE * dn) & (dn > 0)
-    if not defined.any():
-        raise ValueError("Jacobian is nowhere positive; pointwise distortion undefined")
-    sub = np.zeros(grid.shape, dtype=bool)
-    sub[grid.mask] = defined
-    return ScalarField.from_values(grid.with_mask(sub), dn[defined] / J[defined], nonnegative=True)
 
 
 def residual_defect(vm: VectorMap, K: ScalarField) -> ScalarField:
@@ -165,8 +162,6 @@ class DistortionReport:
     max_excess: float  # max of the same minus the cell tolerance
     K_norm_p: float
     Sigma_over_K_norm_q: float
-    pointwise_K: ScalarField | None
-    residual_Sigma: ScalarField
     p: float
     q: float
     infinite_sigma_cells: int
@@ -252,14 +247,7 @@ def verify_distortion(
     k_norm = lebesgue_norm(data.K, data.p)
     crit = None
     if math.isinf(data.p):
-        kinf = lebesgue_norm(data.K, math.inf)
-        crit = min(1.0 / kinf if kinf > 0 else math.inf, 1.0 - _inv(data.q))
-
-    try:
-        pk = _quotient(grid, dn, J)
-    except ValueError:
-        pk = None
-    residual = ScalarField.from_values(grid, np.maximum(dn - K * J, 0.0), nonnegative=True)
+        crit = min(1.0 / k_norm if k_norm > 0 else math.inf, 1.0 - _inv(data.q))
 
     idx = np.nonzero(violated)[0]
     return DistortionReport(
@@ -268,8 +256,6 @@ def verify_distortion(
         max_excess=float(excess.max()),
         K_norm_p=k_norm,
         Sigma_over_K_norm_q=sk_norm,
-        pointwise_K=pk,
-        residual_Sigma=residual,
         p=data.p,
         q=data.q,
         infinite_sigma_cells=int((~finite_sigma).sum()),
@@ -333,9 +319,9 @@ def normalize_low_distortion(data: DistortionData) -> DistortionData:
     Any map satisfying the inequality with the original data also satisfies
     it with the normalized data.
     """
-    grid = data.K.grid
-    K2 = _as_field(grid, np.maximum(1.0, 2.0 * data.K.data), nonnegative=True)
-    S4 = _as_field(grid, 4.0 * data.Sigma.data, nonnegative=True, allow_infinite=data.Sigma.allow_infinite)
+    K, S = data.K, data.Sigma
+    K2 = ScalarField.from_values(K.grid, np.maximum(1.0, 2.0 * K.values), nonnegative=True)
+    S4 = ScalarField.from_values(S.grid, 4.0 * S.values, nonnegative=True, allow_infinite=S.allow_infinite)
     return DistortionData(K2, S4, data.p, data.q)
 
 

@@ -226,8 +226,9 @@ class ScalarField:
     """Real values sampled at the masked cell centers of a grid.
 
     ``data`` is a full-box array; entries off the mask are NaN and never
-    read.  ``nonnegative`` records that the field was produced as (or
-    checked to be) >= 0, which the distribution-function machinery needs.
+    read; :meth:`from_values` builds one from the masked values.
+    ``nonnegative`` has the constructor reject negative values; the
+    distribution functions check their input themselves.
     """
 
     grid: Grid
@@ -265,18 +266,15 @@ class ScalarField:
         """Field restricted to a sub-domain (ball or boolean mask)."""
         submask = self.grid.ball_mask(where) if isinstance(where, Ball) else where
         sub = self.grid.with_mask(submask)
-        return _as_field(sub, self.data, nonnegative=self.nonnegative, allow_infinite=self.allow_infinite)
+        return ScalarField.from_values(
+            sub, self.data[sub.mask], nonnegative=self.nonnegative, allow_infinite=self.allow_infinite
+        )
 
     def max(self) -> float:
         return float(self.values.max())
 
     def min(self) -> float:
         return float(self.values.min())
-
-
-def _as_field(grid: Grid, arr, **kw) -> ScalarField:
-    """ScalarField holding ``arr`` on the mask and NaN off it."""
-    return ScalarField(grid, np.where(grid.mask, arr, np.nan), **kw)
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,7 +291,8 @@ class VectorMap:
             raise ValueError("map values must be finite on the mask")
 
     def component(self, i: int) -> ScalarField:
-        return _as_field(self.grid, self.data[..., i])
+        # a boolean gather from the strided view; data[mask, i] goes through index arrays
+        return ScalarField.from_values(self.grid, self.data[..., i][self.grid.mask])
 
     @property
     def components(self) -> tuple[ScalarField, ...]:
@@ -414,7 +413,7 @@ def grad_norm(field: ScalarField) -> ScalarField:
     planes = _derivative(field.grid, [field.data])[0]
     with np.errstate(over="ignore"):  # an overflow is rejected as non-finite
         norm = np.sqrt(sum(p * p for p in planes))
-    return _as_field(field.grid, norm, nonnegative=True)
+    return ScalarField(field.grid, norm, nonnegative=True)  # the planes are NaN off the mask
 
 
 def _sym3_eig_max(a11, a22, a33, a12, a13, a23):
@@ -488,12 +487,12 @@ def integrate(field: ScalarField) -> float:
 def truncate(field: ScalarField, level: float, mode: str) -> ScalarField:
     """Nonnegative truncation: ``above`` gives (f - level)^+, ``below`` (level - f)^+."""
     if mode == "above":
-        data = np.maximum(field.data - level, 0.0)
+        vals = np.maximum(field.values - level, 0.0)
     elif mode == "below":
-        data = np.maximum(level - field.data, 0.0)
+        vals = np.maximum(level - field.values, 0.0)
     else:
         raise ValueError(f"mode must be 'above' or 'below', got {mode!r}")
-    return _as_field(field.grid, data, nonnegative=True)
+    return ScalarField.from_values(field.grid, vals, nonnegative=True)
 
 
 def interpolate(field: ScalarField, points: np.ndarray) -> np.ndarray:

@@ -3,9 +3,7 @@
 Each entry carries vectorized evaluators for the map (or scalar field) and,
 where meaningful, for the pointwise distortion coefficient and the minimal
 defect, plus metadata: expected distortion class, modulus-of-continuity
-exponent, declared singular points and a natural domain.  Agreement checks
-against sampled data exclude cells within two spacings of a singular point,
-where finite differences are meaningless.
+exponent, declared singular points and a natural domain.
 """
 
 from __future__ import annotations
@@ -25,10 +23,7 @@ __all__ = [
     "sample_map",
     "sample_analytic_k",
     "sample_analytic_sigma",
-    "singular_cell_mask",
 ]
-
-SINGULAR_EXCLUSION_SPACINGS = 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,17 +316,6 @@ def sample_analytic_sigma(ex: Example, grid_or_resolution) -> ScalarField:
     grid = _resolve_grid(ex, grid_or_resolution)
     vals = np.asarray(ex.analytic_sigma(grid.masked_centers), dtype=float)
     return ScalarField.from_values(grid, vals, nonnegative=True, allow_infinite=True)
-
-
-def singular_cell_mask(ex: Example, grid: Grid) -> np.ndarray:
-    """Flat boolean over masked cells: True within the exclusion radius of a
-    declared singular point."""
-    excl = np.zeros(grid.cell_count, dtype=bool)
-    radius = SINGULAR_EXCLUSION_SPACINGS * grid.spacing
-    for s in ex.metadata.get("singular_points", []):
-        d = np.sqrt(((grid.masked_centers - np.asarray(s)) ** 2).sum(axis=1))
-        excl |= d <= radius
-    return excl
 
 
 def _resolve_grid(ex: Example, grid_or_resolution) -> Grid:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from distlab import distortion, monotonicity
+from distlab import cli, distortion, monotonicity
 from distlab.cli import CommandPlan, UsageError, execute, main, parse_command
 from distlab.fieldio import read_field, write_field
 from distlab.fields import Ball, Box, ScalarField, build_grid, sample
@@ -185,6 +185,19 @@ def test_companion_field_missing_map_cells_rejected(tmp_path, capsys, monkeypatc
     assert main(["analyze", str(out), flag, other]) == 1
     err = capsys.readouterr().err
     assert other in err and "cells" in err
+
+
+def test_chain_companion_fields_are_nan_off_the_sub_mask(tmp_path, capsys):
+    out = _export_radial_log(tmp_path, capsys, res=32)
+    sigma = read_field(tmp_path / "rl.sigma.json")
+    sub = read_field(out).restrict(Ball((0.0, 0.0), 0.3))
+    opts = {"kfield": None, "sigmafield": str(tmp_path / "rl.sigma.json"), "p": 4.0, "q": 4.0}
+    data = cli._distortion_data(opts, sub)
+    off = ~sub.grid.mask
+    assert off.any() and (sigma.grid.mask & off).any()
+    assert np.isnan(data.K.data[off]).all()
+    assert np.isnan(data.Sigma.data[off]).all()
+    assert np.array_equal(data.Sigma.values, sigma.data[sub.grid.mask])
 
 
 def test_companion_field_on_the_map_grid_accepted(tmp_path, capsys):
@@ -403,7 +416,7 @@ def test_scalar_file_where_a_map_is_expected(tmp_path, capsys, command):
 def test_scalar_file_where_the_chain_expects_a_map(tmp_path, capsys):
     cone, _ = _scalar_and_map(tmp_path, capsys)
     _fails_with(["monotonicity", cone, "--chain", "--chain-ball", "0.3"], capsys,
-                "--chain needs a map file (components)")
+                f"{cone}: expected a map (components), found a scalar field")
 
 
 @pytest.mark.parametrize(
@@ -425,7 +438,7 @@ def test_map_file_where_a_scalar_is_expected(tmp_path, capsys, argv):
 def test_map_file_where_the_sweep_expects_a_scalar(tmp_path, capsys):
     _, rl = _scalar_and_map(tmp_path, capsys)
     _fails_with(["monotonicity", rl, "--radii", "0.1,0.2"], capsys,
-                "the defect sweep needs a scalar field file (or pass --chain)")
+                f"{rl}: expected a scalar field (values), found a map")
 
 
 def test_chain_without_a_ball(tmp_path, capsys):

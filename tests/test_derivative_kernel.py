@@ -90,7 +90,8 @@ def _ref_grad_norm(grid, data):
     """``grad_norm`` as it was: through a gradient ``VectorMap``, which
     rejects non-finite derivatives on the mask."""
     g = VectorMap(grid, _ref_gradient(grid, data))
-    return np.where(grid.mask, np.sqrt((g.data**2).sum(axis=-1)), np.nan)
+    with np.errstate(over="ignore"):  # as in the package: an overflow is rejected as non-finite
+        return np.where(grid.mask, np.sqrt((g.data**2).sum(axis=-1)), np.nan)
 
 
 def _ref_differential(vm):
@@ -240,17 +241,19 @@ def test_distortion_consumers_match_full_box_reference(vm, seed):
     ref_residual = _ref_residual(grid, dn, J, K.data)
     assert _same(residual_defect(vm, K).data, ref_residual)
 
-    ref_q = _ref_quotient(grid, dn, J)
+    resid = (dn - (K.data * J + Sigma.data))[grid.mask]
     report = verify_distortion(vm, DistortionData(K, Sigma, 4.0, 4.0))
-    assert _same(report.residual_Sigma.data, ref_residual)
+    assert report.max_violation == resid.max()
+    assert report.violation_count == int((resid > 1e-9 * (1.0 + dn[grid.mask])).sum())
+
+    ref_q = _ref_quotient(grid, dn, J)
     if ref_q is None:
         with pytest.raises(ValueError, match="nowhere positive"):
             pointwise_distortion(vm)
-        assert report.pointwise_K is None
         return
-    for pk in (pointwise_distortion(vm), report.pointwise_K):
-        assert np.array_equal(pk.grid.mask, ref_q[0])
-        assert _same(pk.data, ref_q[1])
+    pk = pointwise_distortion(vm)
+    assert np.array_equal(pk.grid.mask, ref_q[0])
+    assert _same(pk.data, ref_q[1])
 
 
 @pytest.mark.parametrize("fn", [op_norm, jacobian])
