@@ -17,8 +17,9 @@ full size, in a child process that imports this checkout's
 ``perfbench/workloads.py`` (read-only: no bytecode is written) with SRC
 first on the path.  It prints one ``sha256 name`` line per operation
 report; after each ``map-3d-96`` ``verify_distortion`` report it also hashes
-the arrays ``residual_defect(vm, K).data``, ``pointwise_distortion(vm).data``
-and ``pointwise_distortion(vm).grid.mask`` for that check's map and K.
+the masked values of ``residual_defect(vm, K)`` and ``pointwise_distortion(vm)``
+for that check's map and K, and the indices of the quotient's defined cells
+among the map's cells; none of these depends on the box the map lives on.
 Run it on two trees and diff the outputs: equal lines mean byte-identical
 reports.
 """
@@ -76,6 +77,7 @@ COMMANDS = [
 # one pass of each library workload at seed 5; argv[1] is SRC
 LIBRARY = """
 import hashlib, sys
+import numpy as np
 from distlab.distortion import pointwise_distortion, residual_defect
 from workloads import WORKLOADS
 
@@ -100,9 +102,9 @@ for name in ("map-3d-96", "scalar-2d-1024"):
                 vm, K = checked[op.name]
                 pk = pointwise_distortion(vm)
                 arrays = {
-                    "residual_Sigma.data": residual_defect(vm, K).data,
-                    "pointwise_K.data": pk.data,
-                    "pointwise_K.grid.mask": pk.grid.mask,
+                    "residual_Sigma.values": residual_defect(vm, K).values,
+                    "pointwise_K.values": pk.values,
+                    "pointwise_K.defined": np.flatnonzero(pk.grid.mask[vm.grid.mask]),
                 }
                 for label, arr in arrays.items():
                     print(sha(arr.tobytes()), tag, f"{op.name} [{label}]", flush=True)

@@ -301,12 +301,13 @@ def _read_companion(path: str | None, grid: Grid) -> np.ndarray | None:
     return field.data[grid.mask]
 
 
-def _distortion_data(opts: dict, vm: VectorMap) -> DistortionData:
+def _distortion_data(opts: dict, vm: VectorMap, cells: Grid) -> DistortionData:
     """K from --kfield (default 1) and Sigma from --sigmafield (default: the
-    minimal defect for K); both files are checked before any derivative work."""
+    minimal defect for K), read at ``cells``, the map's cells on the map
+    file's lattice; both files are checked before any derivative work."""
     grid = vm.grid
-    kvals = _read_companion(opts["kfield"], grid)
-    svals = _read_companion(opts["sigmafield"], grid)
+    kvals = _read_companion(opts["kfield"], cells)
+    svals = _read_companion(opts["sigmafield"], cells)
     K = ScalarField.from_values(grid, np.ones(grid.cell_count) if kvals is None else kvals, nonnegative=True)
     if svals is None:
         S = residual_defect(vm, K)
@@ -319,7 +320,7 @@ def _cmd_analyze(plan: CommandPlan) -> int:
     opts = plan.options
     vm = _read(opts["map"], VectorMap)
     grid = vm.grid
-    data = _distortion_data(opts, vm)
+    data = _distortion_data(opts, vm, grid)
     rep = verify_distortion(vm, data, y0=opts["y0"], rel_tol=opts["rel_tol"])
     if opts["violations_out"]:
         _write(opts["violations_out"], violations_csv(rep))
@@ -475,8 +476,9 @@ def _cmd_monotonicity(plan: CommandPlan) -> int:
         level = opts["level"]
         if level is None:
             level = ext.boundary_max if opts["mode"] == "above" else ext.boundary_min
-        sub = obj.restrict(grid.ball_mask(ball))
-        data = _distortion_data(opts, sub)
+        cells = grid.with_mask(grid.ball_mask(ball))
+        sub = obj.restrict(cells.mask)
+        data = _distortion_data(opts, sub, cells)
         ledger = sup_bound_chain(
             sub, data, opts["component"], level, opts["mode"], gamma=opts["gamma"]
         )

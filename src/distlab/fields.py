@@ -77,6 +77,8 @@ class Grid:
     domain measure is exactly (masked cell count) * h**dim.  ``domain``
     records the box/ball descriptor when the grid was built from one
     (needed to serialize fields); mask-restricted grids carry None.
+    ``offset`` is the index of the first cell in the lattice that ``origin``
+    anchors: zeros for a built grid, the window start for a cropped one.
     """
 
     dim: int
@@ -85,12 +87,15 @@ class Grid:
     spacing: float
     mask: np.ndarray
     domain: "Box | Ball | None" = None
+    offset: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
-        if len(self.shape) != self.dim or len(self.origin) != self.dim:
-            raise ValueError("shape/origin do not match dim")
+        if self.offset is None:
+            object.__setattr__(self, "offset", (0,) * self.dim)
+        if not len(self.shape) == len(self.origin) == len(self.offset) == self.dim:
+            raise ValueError("shape/origin/offset do not match dim")
         if any(n < 2 for n in self.shape):
             raise ValueError("need at least 2 cells per axis")
         if not self.spacing > 0:
@@ -118,8 +123,8 @@ class Grid:
         return np.stack(np.meshgrid(*map(self._axis_coords, range(self.dim)), indexing="ij"), axis=-1)
 
     def _axis_coords(self, a: int) -> np.ndarray:
-        """Cell-center coordinates along axis ``a``."""
-        return self.origin[a] + (np.arange(self.shape[a]) + 0.5) * self.spacing
+        """Cell-center coordinates along axis ``a``, bit for bit those of the uncropped lattice."""
+        return self.origin[a] + (np.arange(self.shape[a]) + self.offset[a] + 0.5) * self.spacing
 
     @cached_property
     def masked_centers(self) -> np.ndarray:
@@ -141,7 +146,18 @@ class Grid:
         new_mask = np.asarray(new_mask, dtype=bool)
         if not (new_mask & ~self.mask).sum() == 0:
             raise ValueError("new mask must be a subset of the current mask")
-        return Grid(self.dim, self.shape, self.origin, self.spacing, new_mask, domain=None)
+        return Grid(self.dim, self.shape, self.origin, self.spacing, new_mask, offset=self.offset)
+
+    def crop(self, where: Ball | np.ndarray) -> tuple["Grid", tuple[slice, ...]]:
+        """Sub-grid of a sub-domain (ball or sub-mask) on its bounding box plus
+        one cell, clipped to this box, and that window into this box."""
+        mask = self.with_mask(self.ball_mask(where) if isinstance(where, Ball) else where).mask
+        others = [tuple(b for b in range(self.dim) if b != a) for a in range(self.dim)]
+        idx = [np.flatnonzero(mask.any(axis=axes)) for axes in others]  # with_mask rejects an empty mask
+        window = tuple(slice(max(int(i[0]) - 1, 0), min(int(i[-1]) + 2, n)) for i, n in zip(idx, self.shape))
+        shape = tuple(s.stop - s.start for s in window)
+        offset = tuple(o + s.start for o, s in zip(self.offset, window))
+        return Grid(self.dim, shape, self.origin, self.spacing, mask[window], offset=offset), window
 
     def ball_mask(self, ball: Ball) -> np.ndarray:
         """Masked cells whose center lies in the open ball.  d2 adds nonnegative
@@ -160,10 +176,11 @@ class Grid:
 
 
 def _same_lattice(a: Grid, b: Grid) -> bool:
-    """Same shape, origin and spacing (to 1e-12, as in the field file
-    format); the masks may differ."""
+    """Same shape, offset, origin and spacing (to 1e-12, as in the field
+    file format); the masks may differ."""
     pairs = [(a.spacing, b.spacing), *zip(a.origin, b.origin)]
-    return a.shape == b.shape and all(abs(x - y) <= 1e-12 * max(1.0, abs(y)) for x, y in pairs)
+    same = a.shape == b.shape and a.offset == b.offset
+    return same and all(abs(x - y) <= 1e-12 * max(1.0, abs(y)) for x, y in pairs)
 
 
 def _shift(arr: np.ndarray, axis: int, by: int) -> np.ndarray:
@@ -263,11 +280,10 @@ class ScalarField:
         return cls(grid, data, **kw)
 
     def restrict(self, where: Ball | np.ndarray) -> "ScalarField":
-        """Field restricted to a sub-domain (ball or boolean mask)."""
-        submask = self.grid.ball_mask(where) if isinstance(where, Ball) else where
-        sub = self.grid.with_mask(submask)
+        """Field restricted to a sub-domain (ball or boolean mask), on the grid :meth:`Grid.crop` cuts."""
+        sub, window = self.grid.crop(where)
         return ScalarField.from_values(
-            sub, self.data[sub.mask], nonnegative=self.nonnegative, allow_infinite=self.allow_infinite
+            sub, self.data[window][sub.mask], nonnegative=self.nonnegative, allow_infinite=self.allow_infinite
         )
 
     def max(self) -> float:
@@ -304,10 +320,8 @@ class VectorMap:
         return VectorMap(self.grid, data)
 
     def restrict(self, where: Ball | np.ndarray) -> "VectorMap":
-        submask = self.grid.ball_mask(where) if isinstance(where, Ball) else where
-        sub = self.grid.with_mask(submask)
-        data = np.where(submask[..., None], self.data, np.nan)
-        return VectorMap(sub, data)
+        sub, window = self.grid.crop(where)
+        return VectorMap(sub, np.where(sub.mask[..., None], self.data[window], np.nan))
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,7 +418,8 @@ def gradient(field: ScalarField) -> VectorMap:
 def differential(vm: VectorMap) -> MatrixField:
     """Row-wise finite-difference derivative matrix: D[i][j] = d f_i / d x_j.
     Each ``data[..., i, j]`` is a C-contiguous plane."""
-    comps = [vm.data[..., i] for i in range(vm.grid.dim)]
+    # contiguous copies: the stencils read each component several times
+    comps = [np.ascontiguousarray(vm.data[..., i]) for i in range(vm.grid.dim)]
     return MatrixField(vm.grid, np.moveaxis(_derivative(vm.grid, comps), (0, 1), (-2, -1)))
 
 
@@ -502,6 +517,7 @@ def interpolate(field: ScalarField, points: np.ndarray) -> np.ndarray:
     t = (pts - np.asarray(grid.origin)) / grid.spacing - 0.5
     i0 = np.floor(t).astype(int)
     frac = t - i0
+    i0 -= np.asarray(grid.offset)
 
     if (i0 < 0).any() or any((i0[:, a] + 1 >= grid.shape[a]).any() for a in range(grid.dim)):
         raise ValueError("interpolation point outside the sampled box")

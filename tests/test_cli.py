@@ -166,12 +166,16 @@ def test_companion_field_on_another_grid_rejected(tmp_path, capsys, monkeypatch,
     _refuse_derivatives(monkeypatch)
     analyze = ["analyze", str(out), flag, other]
     chain = ["monotonicity", str(out), "--chain", "--center", "0,0", "--chain-ball", "0.3", flag, other]
+    errors = []
     for argv in (analyze, chain):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert other in captured.err
         assert "grid" in captured.err
+        errors.append(captured.err)
+    # the chain checks the file against the map file's lattice, not its cropped ball
+    assert errors[1] == errors[0] and "[64, 64]" in errors[0]
 
 
 @pytest.mark.parametrize("flag", ["--kfield", "--sigmafield"])
@@ -190,14 +194,16 @@ def test_companion_field_missing_map_cells_rejected(tmp_path, capsys, monkeypatc
 def test_chain_companion_fields_are_nan_off_the_sub_mask(tmp_path, capsys):
     out = _export_radial_log(tmp_path, capsys, res=32)
     sigma = read_field(tmp_path / "rl.sigma.json")
-    sub = read_field(out).restrict(Ball((0.0, 0.0), 0.3))
+    vm = read_field(out)
+    cells = vm.grid.with_mask(vm.grid.ball_mask(Ball((0.0, 0.0), 0.3)))  # on the file's lattice
+    sub = vm.restrict(cells.mask)
     opts = {"kfield": None, "sigmafield": str(tmp_path / "rl.sigma.json"), "p": 4.0, "q": 4.0}
-    data = cli._distortion_data(opts, sub)
+    data = cli._distortion_data(opts, sub, cells)
     off = ~sub.grid.mask
-    assert off.any() and (sigma.grid.mask & off).any()
+    assert off.any() and (sigma.grid.mask[vm.grid.crop(cells.mask)[1]] & off).any()
     assert np.isnan(data.K.data[off]).all()
     assert np.isnan(data.Sigma.data[off]).all()
-    assert np.array_equal(data.Sigma.values, sigma.data[sub.grid.mask])
+    assert np.array_equal(data.Sigma.values, sigma.data[cells.mask])
 
 
 def test_companion_field_on_the_map_grid_accepted(tmp_path, capsys):

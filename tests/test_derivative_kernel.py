@@ -167,9 +167,11 @@ def _ref_residual(grid, dn, J, K):
 
 
 @st.composite
-def masked_maps(draw):
+def masked_maps(draw, uncropped=False):
     """Random maps on 2-D/3-D box, ball and restricted masks; off-mask
-    entries are NaN, +inf or arbitrary finite values."""
+    entries are NaN, +inf or arbitrary finite values.  With ``uncropped``,
+    a pair: the map and, for a restricted one, the same cells and values on
+    the full box (else None)."""
     dim = draw(st.sampled_from([2, 3]))
     res = draw(st.integers(4, 20 if dim == 2 else 9))
     kind = draw(st.sampled_from(["box", "ball", "restrict"]))
@@ -182,14 +184,18 @@ def masked_maps(draw):
         grid = build_grid(Box((-1.0,) * dim, (1.0,) * dim), res)
     data = rng.normal(size=grid.shape + (dim,)) * rng.uniform(0.1, 10.0)
     vm = VectorMap(grid, data)
+    twin = None
+    fill = {"nan": np.nan, "inf": np.inf, "finite": 3.5}[off]
     if kind == "restrict":
         # an off-centre ball cut by the box: one-sided cells at the box
         # faces and at the curved boundary, on both sides of each axis
         center = tuple(rng.uniform(-0.6, 0.6, dim))
-        vm = vm.restrict(Ball(center, rng.uniform(0.5, 1.2)))
-    fill = {"nan": np.nan, "inf": np.inf, "finite": 3.5}[off]
+        full = grid.with_mask(grid.ball_mask(Ball(center, rng.uniform(0.5, 1.2))))
+        twin = VectorMap(full, np.where(full.mask[..., None], data, fill))
+        vm = vm.restrict(full.mask)
     data = np.where(vm.grid.mask[..., None], vm.data, fill)
-    return VectorMap(vm.grid, data)
+    vm = VectorMap(vm.grid, data)
+    return (vm, twin) if uncropped else vm
 
 
 def _same(a, b):
@@ -199,9 +205,10 @@ def _same(a, b):
 # ------------------------------------------------------------------ tests
 
 
-@given(vm=masked_maps())
+@given(case=masked_maps(uncropped=True))
 @settings(max_examples=80, deadline=None)
-def test_planar_kernel_matches_reference(vm):
+def test_planar_kernel_matches_reference(case):
+    vm, twin = case
     grid = vm.grid
     try:
         ref_D = _ref_differential(vm)
@@ -219,6 +226,15 @@ def test_planar_kernel_matches_reference(vm):
         ref_g = _ref_gradient(grid, f.data)
         assert _same(gradient(f).data, ref_g)
         assert _same(grad_norm(f).data, _ref_grad_norm(grid, f.data))
+
+    if twin is not None:  # the cropped box gives the full box's masked values
+        assert grid.shape == twin.grid.crop(twin.grid.mask)[0].shape
+        D_full = differential(twin)
+        assert np.array_equal(D.data[grid.mask], D_full.data[twin.grid.mask])
+        assert np.array_equal(op_norm(D).values, op_norm(D_full).values)
+        assert np.array_equal(jacobian(D).values, jacobian(D_full).values)
+        for f, f_full in zip(vm.components, twin.components):
+            assert np.array_equal(grad_norm(f).values, grad_norm(f_full).values)
 
 
 @given(vm=masked_maps(), seed=st.integers(0, 2**32 - 1))

@@ -45,10 +45,14 @@ def test_distortion_data_rejects_sigma_on_another_grid(other):
     DistortionData(const_field(g, 1.0), const_field(build_grid(UNIT_SQUARE, 8), 0.0))
 
 
+def _left_half(g):
+    return g.centers[..., 0] < 0.5
+
+
 def _left_half_map():
     g = build_grid(UNIT_SQUARE, 32)
     vm = sample(g, lambda p: np.stack([p[..., 0] + 0.1 * p[..., 1] ** 2, p[..., 1]], axis=-1))
-    return g, vm.restrict(g.centers[..., 0] < 0.5)
+    return g, vm.restrict(_left_half(g))
 
 
 def _data_on(grid):
@@ -64,13 +68,15 @@ def _data_on(grid):
     ],
     ids=["verify_distortion", "residual_defect", "sup_bound_chain"],
 )
-@pytest.mark.parametrize("where", ["right-half", "full-box", "other-lattice"])
+@pytest.mark.parametrize("where", ["right-half", "full-box", "other-lattice", "uncropped"])
 def test_distortion_data_on_another_grid_rejected(check, where, monkeypatch):
     g, vm = _left_half_map()
+    shifted = build_grid(Box((0.5, 0.0), (1.5, 1.0)), 32)
     other = {
         "right-half": g.with_mask(g.centers[..., 0] > 0.5),  # same cell count
         "full-box": g,
-        "other-lattice": build_grid(Box((0.5, 0.0), (1.5, 1.0)), 32).with_mask(vm.grid.mask),
+        "other-lattice": shifted.crop(_left_half(g))[0],  # same shape, offset and mask
+        "uncropped": g.with_mask(_left_half(g)),  # the same cells on the full box
     }[where]
     derivatives = []
     monkeypatch.setattr(fields, "_derivative", lambda *a: derivatives.append(a))
@@ -81,7 +87,7 @@ def test_distortion_data_on_another_grid_rejected(check, where, monkeypatch):
 
 def test_distortion_data_on_an_equal_grid_accepted():
     g, vm = _left_half_map()
-    twin = build_grid(UNIT_SQUARE, 32).with_mask(vm.grid.mask)  # equal, not the same object
+    twin = g.crop(_left_half(g))[0]  # equal, not the same object
     data = _data_on(twin)
     assert verify_distortion(vm, data).checked_cells == vm.grid.cell_count
     assert residual_defect(vm, data.K).grid is vm.grid

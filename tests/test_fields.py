@@ -15,9 +15,11 @@ from distlab.fields import (
     gradient,
     grad_norm,
     integrate,
+    interpolate,
     jacobian,
     op_norm,
     sample,
+    sphere_points,
     sphere_trace,
     truncate,
 )
@@ -470,3 +472,69 @@ def test_ball_without_cell_centers():
     # the corner (0, 0) is 0.707h from the nearest cell centres
     with pytest.raises(ValueError, match="ball contains no cell centers at this resolution"):
         ball_extrema(f, Ball((0.0, 0.0), 0.3 * h), 64)
+
+
+# ------------------------------------------------------------------ restrict
+
+CUBE = Box((-1.0,) * 3, (1.0,) * 3)
+
+
+def test_restrict_crops_to_the_ball_box():
+    # |x| < 0.75 keeps the cells 12..83 of 96 on each axis, plus one cell per side
+    g = build_grid(CUBE, 96)
+    sub = sample(g, lambda p: p[..., 0]).restrict(Ball((0.0, 0.0, 0.0), 0.75))
+    assert sub.grid.shape == (74, 74, 74)
+    assert sub.grid.offset == (11, 11, 11)
+    assert all(type(n) is int for n in sub.grid.shape + sub.grid.offset)
+    assert sub.grid.cell_count == int(g.ball_mask(Ball((0.0, 0.0, 0.0), 0.75)).sum())
+    assert sub.grid.domain is None
+
+
+def test_crop_window_clipped_at_the_box_faces():
+    g = build_grid(CENTERED, 32)
+    ball = Ball((0.8, -0.55), 0.5)  # leaves the box at x = 1 and y = -1
+    mask = g.ball_mask(ball)
+    rows, cols = np.nonzero(mask)
+    assert rows.max() == 31 and cols.min() == 0
+    sub, window = g.crop(ball)
+    assert window == (slice(int(rows.min()) - 1, 32), slice(0, int(cols.max()) + 2))
+    assert sub.shape == mask[window].shape and np.array_equal(sub.mask, mask[window])
+    assert sub.offset == (window[0].start, 0)
+    # a crop of a crop keeps counting from the first lattice
+    inner, inner_window = sub.crop(sub.ball_mask(Ball((0.9, -0.6), 0.2)))
+    assert inner.offset == tuple(o + w.start for o, w in zip(sub.offset, inner_window))
+    assert np.array_equal(inner.masked_centers, g.centers[g.ball_mask(Ball((0.9, -0.6), 0.2)) & mask])
+
+
+def test_restricted_grid_keeps_the_parent_centres_bit_for_bit():
+    # spacing 0.05 and an off-centre ball: a moved origin would shift centres by an ulp
+    g = build_grid(CUBE, 40)
+    f = sample(g, lambda p: p[..., 0] * p[..., 1] + np.sin(3.0 * p[..., 2]))
+    ball = Ball((0.11, -0.07, 0.05), 0.6)
+    r = f.restrict(ball)
+    sub, window = g.crop(ball)
+    full = g.with_mask(g.ball_mask(ball))  # the same cells on the full box
+    assert np.array_equal(r.grid.centers, g.centers[window])
+    assert np.array_equal(r.grid.masked_centers, full.masked_centers)
+    assert np.array_equal(r.values, f.data[full.mask])
+    small = Ball((0.2, 0.03, -0.1), 0.28)
+    assert np.array_equal(r.grid.ball_mask(small), full.ball_mask(small)[window])
+    f_full = ScalarField.from_values(full, f.data[full.mask])
+    assert np.array_equal(sphere_trace(r, small, 300), sphere_trace(f_full, small, 300))
+    pts = sphere_points(Ball(small.center, 0.21), 200)
+    assert np.array_equal(interpolate(r, pts), interpolate(f_full, pts))
+
+
+def test_interpolation_outside_the_cropped_box():
+    # a point inside the parent box but outside the cropped one reads as
+    # outside the sampled box; the parent box reports the masked domain
+    g = build_grid(CENTERED, 32)
+    f = sample(g, cone)
+    r = f.restrict(Ball((0.0, 0.0), 0.4))
+    f_full = ScalarField.from_values(g.with_mask(g.ball_mask(Ball((0.0, 0.0), 0.4))), r.values)
+    with pytest.raises(ValueError, match="stencil leaves the masked domain"):
+        interpolate(r, [[0.39, 0.0]])  # the stencil reaches the padding cell
+    with pytest.raises(ValueError, match="stencil leaves the masked domain"):
+        interpolate(f_full, [[0.8, 0.0]])
+    with pytest.raises(ValueError, match="interpolation point outside the sampled box"):
+        interpolate(r, [[0.8, 0.0]])
