@@ -25,12 +25,14 @@ import numpy as np
 from .fields import (
     ScalarField,
     VectorMap,
+    _det,
+    _finite,
     _same_lattice,
+    _smax,
     boundary_support_ok,
     differential,
     integrate,
     jacobian,
-    op_norm,
 )
 from .staircase import MonotoneFn
 
@@ -112,7 +114,7 @@ def lebesgue_norm(field: ScalarField, p: float) -> float:
 
 def jacobian_parts(vm: VectorMap) -> tuple[ScalarField, ScalarField]:
     """Positive and negative parts of the Jacobian: J = Jplus - Jminus."""
-    J = jacobian(differential(vm)).values
+    J = _det(differential(vm).entries)
     parts = (np.maximum(J, 0.0), np.maximum(-J, 0.0))
     return tuple(ScalarField.from_values(vm.grid, part, nonnegative=True) for part in parts)
 
@@ -134,13 +136,12 @@ def pointwise_distortion(vm: VectorMap) -> ScalarField:
 
 
 def _derivative_powers(vm: VectorMap) -> tuple[np.ndarray, np.ndarray]:
-    """|Df|^n and J_f on the masked cells, from one difference derivative."""
-    D = differential(vm)
+    """|Df|^n and J_f on the masked cells, from one difference derivative
+    whose box planes are freed before the closed forms run."""
+    m = differential(vm).entries
     with np.errstate(over="ignore"):  # an overflow is rejected as non-finite
-        dn = op_norm(D).values ** vm.grid.dim
-    if not np.isfinite(dn).all():
-        raise ValueError("field values must be finite on the mask")
-    return dn, jacobian(D).values
+        dn = _finite(_smax(m) ** vm.grid.dim)
+    return dn, _det(m)
 
 
 def residual_defect(vm: VectorMap, K: ScalarField) -> ScalarField:
@@ -305,7 +306,7 @@ def weighted_zero_integral_check(
     weights = F(np.abs(comp.values))
     if not np.isfinite(weights).all():
         raise ValueError("F takes the value +inf on attained values of |f_i|")
-    J = jacobian(differential(vm)).values
+    J = _det(differential(vm).entries)
     hvol = vm.grid.cell_volume
     pos = float((weights * np.maximum(J, 0.0)).sum() * hvol)
     neg = float((weights * np.maximum(-J, 0.0)).sum() * hvol)

@@ -260,8 +260,8 @@ class ScalarField:
         if self.allow_infinite:
             if np.isnan(vals).any() or (vals == -np.inf).any():
                 raise ValueError("field values must not be NaN or -inf")
-        elif not np.isfinite(vals).all():
-            raise ValueError("field values must be finite on the mask")
+        else:
+            _finite(vals)
         if self.nonnegative and (vals < 0).any():
             raise ValueError("field declared nonnegative but has negative values")
 
@@ -326,17 +326,23 @@ class VectorMap:
 
 @dataclass(frozen=True, eq=False)
 class MatrixField:
-    """A dim x dim matrix per masked cell (finite-difference derivatives)."""
+    """A dim x dim matrix per masked cell (finite-difference derivatives);
+    ``entries[i, j]`` holds D[i][j] on the masked cells, gathered once."""
 
     grid: Grid
     data: np.ndarray  # shape grid.shape + (dim, dim)
+    entries: np.ndarray = field(init=False, repr=False)  # shape (dim, dim, cell_count)
 
     def __post_init__(self):
         d = self.grid.dim
         if self.data.shape != self.grid.shape + (d, d):
             raise ValueError("matrix data shape must be grid shape + (dim, dim)")
-        if not np.isfinite(self.data[self.grid.mask]).all():
+        entries = np.empty((d, d, self.grid.cell_count))
+        for i, j in np.ndindex(d, d):  # one boolean gather per plane, into contiguous rows
+            entries[i, j] = self.data[..., i, j][self.grid.mask]
+        if not np.isfinite(entries).all():
             raise ValueError("matrix entries must be finite on the mask")
+        object.__setattr__(self, "entries", entries)
 
 
 def _evaluate(evaluator: Callable, pts: np.ndarray) -> np.ndarray:
@@ -371,43 +377,39 @@ def sample(grid: Grid, evaluator: Callable) -> ScalarField | VectorMap:
 
 
 def _axis_derivative(grid: Grid, comps: Sequence[np.ndarray], axis: int, planes: np.ndarray) -> None:
-    """Write d comps[k] / dx_axis into ``planes[k]`` (NaN-filled): central
-    difference where both neighbors are masked, one-sided at the mask
-    boundary.  Exact on affine inputs either way.  The stencil masks depend
-    only on the axis, so they are built once for every component."""
+    """Write d comps[k] / dx_axis into the flat ``planes[k]`` (NaN-filled):
+    central difference where both neighbors are masked, one-sided at the mask
+    boundary; exact on affine inputs either way.  A neighbor is ``s`` flat
+    entries away; a step that wraps a row lands where the stencil mask is False."""
     h = grid.spacing
     mask = grid.mask
     has_lo = _shift(mask, axis, +1)
     has_hi = _shift(mask, axis, -1)
     if (mask & ~has_lo & ~has_hi).any():
         raise ValueError(f"isolated masked cell along axis {axis}: no neighbor for differences")
-    both = mask & has_lo & has_hi
-    only_hi = mask & ~has_lo  # no cell is isolated, so these have the other neighbor
-    only_lo = mask & ~has_hi
-
-    def cut(start, stop):
-        idx = [slice(None)] * grid.dim
-        idx[axis] = slice(start, stop)
-        return tuple(idx)
-
-    mid, lower, upper = cut(1, -1), cut(None, -1), cut(1, None)
+    s = math.prod(grid.shape[axis + 1 :])
+    both = (mask & has_lo & has_hi).ravel()[s:-s]
+    only_hi = (mask & ~has_lo).ravel()[:-s]  # no cell is isolated, so these have the other neighbor
+    only_lo = (mask & ~has_hi).ravel()[s:]
     # off-mask entries are never kept; an overflow is rejected as non-finite
     with np.errstate(over="ignore", invalid="ignore"):
         for f, plane in zip(comps, planes):
-            np.subtract(f[cut(2, None)], f[cut(None, -2)], out=plane[mid], where=both[mid])
-            np.divide(plane[mid], 2 * h, out=plane[mid], where=both[mid])
-            step = f[upper] - f[lower]
-            np.divide(step, h, out=plane[lower], where=only_hi[lower])
-            np.divide(step, h, out=plane[upper], where=only_lo[upper])
+            mid = plane[s:-s]
+            np.subtract(f[2 * s :], f[: -2 * s], out=mid, where=both)
+            np.divide(mid, 2 * h, out=mid, where=both)
+            step = f[s:] - f[:-s]
+            np.divide(step, h, out=plane[:-s], where=only_hi)
+            np.divide(step, h, out=plane[s:], where=only_lo)
 
 
 def _derivative(grid: Grid, comps: Sequence[np.ndarray]) -> np.ndarray:
     """Difference derivative as contiguous planes: ``out[i, j]`` holds
     d comps[i] / dx_j over the full box, NaN off the mask."""
-    out = np.full((len(comps), grid.dim) + grid.shape, np.nan)
+    flat = [np.ravel(f) for f in comps]  # copies a component that is not C-contiguous
+    out = np.full((len(comps), grid.dim, grid.mask.size), np.nan)
     for a in range(grid.dim):
-        _axis_derivative(grid, comps, a, out[:, a])
-    return out
+        _axis_derivative(grid, flat, a, out[:, a])
+    return out.reshape((len(comps), grid.dim) + grid.shape)
 
 
 def gradient(field: ScalarField) -> VectorMap:
@@ -418,8 +420,7 @@ def gradient(field: ScalarField) -> VectorMap:
 def differential(vm: VectorMap) -> MatrixField:
     """Row-wise finite-difference derivative matrix: D[i][j] = d f_i / d x_j.
     Each ``data[..., i, j]`` is a C-contiguous plane."""
-    # contiguous copies: the stencils read each component several times
-    comps = [np.ascontiguousarray(vm.data[..., i]) for i in range(vm.grid.dim)]
+    comps = [vm.data[..., i] for i in range(vm.grid.dim)]
     return MatrixField(vm.grid, np.moveaxis(_derivative(vm.grid, comps), (0, 1), (-2, -1)))
 
 
@@ -432,66 +433,71 @@ def grad_norm(field: ScalarField) -> ScalarField:
 
 
 def _sym3_eig_max(a11, a22, a33, a12, a13, a23):
-    """Largest eigenvalue of symmetric 3x3 matrices, trigonometric closed form."""
-    p1 = a12**2 + a13**2 + a23**2
+    """Largest eigenvalue of symmetric 3x3 matrices, trigonometric closed form;
+    the ``del``s keep few temporaries alive at once."""
     q = (a11 + a22 + a33) / 3.0
-    p2 = (a11 - q) ** 2 + (a22 - q) ** 2 + (a33 - q) ** 2 + 2.0 * p1
-    p = np.sqrt(np.maximum(p2 / 6.0, 0.0))
+    p2 = (a11 - q) ** 2 + (a22 - q) ** 2 + (a33 - q) ** 2 + 2.0 * (a12**2 + a13**2 + a23**2)
+    p, spread = np.sqrt(np.maximum(p2 / 6.0, 0.0)), p2 > 0
+    del p2
     # det((A - q I) / p) / 2, guarded for the scalar-matrix case p == 0
     safe = np.where(p > 0, p, 1.0)
     b11, b22, b33 = (a11 - q) / safe, (a22 - q) / safe, (a33 - q) / safe
     b12, b13, b23 = a12 / safe, a13 / safe, a23 / safe
-    detb = (
-        b11 * (b22 * b33 - b23**2)
-        - b12 * (b12 * b33 - b23 * b13)
-        + b13 * (b12 * b23 - b22 * b13)
-    )
+    del safe
+    detb = _det(((b11, b12, b13), (b12, b22, b23), (b13, b23, b33)))
+    del b11, b22, b33, b12, b13, b23
     r = np.clip(detb / 2.0, -1.0, 1.0)
     phi = np.arccos(r) / 3.0
     lam = q + 2.0 * p * np.cos(phi)
-    return np.where(p2 > 0, lam, q)
+    return np.where(spread, lam, q)
 
 
-def _entries(mf: MatrixField) -> list[list[np.ndarray]]:
-    """``e[i][j]`` holds D[i][j] on the masked cells, as a contiguous vector."""
-    d = mf.grid.dim
-    return [[mf.data[..., i, j][mf.grid.mask] for j in range(d)] for i in range(d)]
+def _smax(m: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in the ``(d, d, cells)`` stack ``m``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(m) == 2:
+            (a, b), (c, d) = m
+            # Blinn's factorization ("Consider the lowly 2x2 matrix", 1996);
+            # sqrt(q1^2 - 4 det^2) cancels catastrophically on near-conformal cells
+            return 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, b + c))
+        # Gram matrix M^T M is symmetric: build its six distinct entries
+        # (about half the cost of a full einsum) and take the largest
+        # eigenvalue via the cubic.
+        def g(i, j):
+            return m[0][i] * m[0][j] + m[1][i] * m[1][j] + m[2][i] * m[2][j]
+
+        lam = _sym3_eig_max(g(0, 0), g(1, 1), g(2, 2), g(0, 1), g(0, 2), g(1, 2))
+        return np.sqrt(np.maximum(lam, 0.0))
+
+
+def _finite(vals: np.ndarray) -> np.ndarray:
+    """``vals`` once checked finite, with the masked-field error otherwise."""
+    if not np.isfinite(vals).all():
+        raise ValueError("field values must be finite on the mask")
+    return vals
+
+
+def _det(m: np.ndarray) -> np.ndarray:
+    """Determinant of each matrix in the ``(d, d, cells)`` stack ``m``,
+    checked finite (an overflow raises the masked-field error)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(m) == 2:
+            return _finite(m[0][0] * m[1][1] - m[0][1] * m[1][0])
+        return _finite(
+            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        )
 
 
 def op_norm(mf: MatrixField) -> ScalarField:
     """Largest singular value per cell (closed forms, no LAPACK calls)."""
-    m = _entries(mf)
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected as non-finite
-        if mf.grid.dim == 2:
-            (a, b), (c, d) = m
-            # Blinn's factorization ("Consider the lowly 2x2 matrix", 1996);
-            # sqrt(q1^2 - 4 det^2) cancels catastrophically on near-conformal cells
-            smax = 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, b + c))
-        else:
-            # Gram matrix M^T M is symmetric: build its six distinct entries
-            # (about half the cost of a full einsum) and take the largest
-            # eigenvalue via the cubic.
-            def g(i, j):
-                return m[0][i] * m[0][j] + m[1][i] * m[1][j] + m[2][i] * m[2][j]
-
-            lam = _sym3_eig_max(g(0, 0), g(1, 1), g(2, 2), g(0, 1), g(0, 2), g(1, 2))
-            smax = np.sqrt(np.maximum(lam, 0.0))
-    return ScalarField.from_values(mf.grid, smax, nonnegative=True)
+    return ScalarField.from_values(mf.grid, _smax(mf.entries), nonnegative=True)
 
 
 def jacobian(mf: MatrixField) -> ScalarField:
     """Determinant per cell."""
-    m = _entries(mf)
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected as non-finite
-        if mf.grid.dim == 2:
-            det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        else:
-            det = (
-                m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-            )
-    return ScalarField.from_values(mf.grid, det)
+    return ScalarField.from_values(mf.grid, _det(mf.entries))
 
 
 def integrate(field: ScalarField) -> float:

@@ -24,10 +24,10 @@ from .fields import (
     Ball,
     ScalarField,
     VectorMap,
+    _det,
     _evaluate,
     boundary_support_ok,
     differential,
-    jacobian,
     sphere_points,
     sphere_trace,
     truncate,
@@ -307,11 +307,10 @@ def sup_bound_chain(
         # So |grad phi| is the norm of row i of D f there, and g = f with f_i
         # replaced by +-phi (the sign of f_i - level) has J_g = J_f there: one
         # derivative of f, and no difference taken across the kink of phi
-        D = differential(vm)
+        Df = differential(vm).entries
         support = phi.values > 0
-        row = D.data[..., i, :][grid.mask]
-        gn = np.where(support, np.sqrt((row**2).sum(axis=-1)), 0.0)
-        Jg = np.where(support, jacobian(D).values, 0.0)
+        gn = np.where(support, np.sqrt((Df[i] ** 2).sum(axis=0)), 0.0)
+        Jg = np.where(support, _det(Df), 0.0)
 
         hvol = grid.cell_volume
         mu_of = upper_distribution(phi).mu_plus(phi.values)

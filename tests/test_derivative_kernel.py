@@ -168,18 +168,26 @@ def _ref_residual(grid, dn, J, K):
 
 @st.composite
 def masked_maps(draw, uncropped=False):
-    """Random maps on 2-D/3-D box, ball and restricted masks; off-mask
-    entries are NaN, +inf or arbitrary finite values.  With ``uncropped``,
-    a pair: the map and, for a restricted one, the same cells and values on
-    the full box (else None)."""
+    """Random maps on 2-D/3-D box, ball and restricted masks, and on
+    non-cubic boxes (some with an axis of exactly 2 cells, where no cell has
+    both neighbours along it); off-mask entries are NaN, +inf or arbitrary
+    finite values, and the data is C-ordered, Fortran-ordered or a strided
+    view.  With ``uncropped``, a pair: the map and, for a restricted one,
+    the same cells and values on the full box (else None)."""
     dim = draw(st.sampled_from([2, 3]))
     res = draw(st.integers(4, 20 if dim == 2 else 9))
-    kind = draw(st.sampled_from(["box", "ball", "restrict"]))
+    kind = draw(st.sampled_from(["box", "ball", "restrict", "slab"]))
     seed = draw(st.integers(0, 2**32 - 1))
     off = draw(st.sampled_from(["nan", "inf", "finite"]))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
     rng = np.random.default_rng(seed)
     if kind == "ball":
         grid = build_grid(Ball((0.0,) * dim, 1.0), res)
+    elif kind == "slab":
+        shape = [draw(st.integers(2, 12 if dim == 2 else 7)) for _ in range(dim)]
+        if draw(st.booleans()):
+            shape[draw(st.integers(0, dim - 1))] = 2
+        grid = build_grid(Box((0.0,) * dim, tuple(0.25 * n for n in shape)), shape)
     else:
         grid = build_grid(Box((-1.0,) * dim, (1.0,) * dim), res)
     data = rng.normal(size=grid.shape + (dim,)) * rng.uniform(0.1, 10.0)
@@ -194,6 +202,10 @@ def masked_maps(draw, uncropped=False):
         twin = VectorMap(full, np.where(full.mask[..., None], data, fill))
         vm = vm.restrict(full.mask)
     data = np.where(vm.grid.mask[..., None], vm.data, fill)
+    if layout == "F":
+        data = np.asfortranarray(data)
+    elif layout == "strided":
+        data = np.repeat(data, 2, axis=-1)[..., ::2]
     vm = VectorMap(vm.grid, data)
     return (vm, twin) if uncropped else vm
 
@@ -222,7 +234,8 @@ def test_planar_kernel_matches_reference(case):
     assert _same(op_norm(D).data, _ref_op_norm(grid, ref_D))
     assert _same(jacobian(D).data, _ref_jacobian(grid, ref_D))
 
-    for f in vm.components:
+    strided = [ScalarField(grid, vm.data[..., i]) for i in range(grid.dim)]  # not C-contiguous
+    for f in (*vm.components, *strided):
         ref_g = _ref_gradient(grid, f.data)
         assert _same(gradient(f).data, ref_g)
         assert _same(grad_norm(f).data, _ref_grad_norm(grid, f.data))
@@ -272,22 +285,40 @@ def test_distortion_consumers_match_full_box_reference(vm, seed):
     assert _same(pk.data, ref_q[1])
 
 
-@pytest.mark.parametrize("fn", [op_norm, jacobian])
-def test_closed_forms_allocate_on_the_mask_only(fn):
-    # a ball holding about 3 % of a 48^3 box: the closed forms must not
-    # build full-box temporaries, only the returned field's array
-    grid = build_grid(Box((-1.0,) * 3, (1.0,) * 3), 48)
-    vm = VectorMap(grid, np.random.default_rng(3).normal(size=grid.shape + (3,)))
-    D = differential(vm.restrict(Ball((0.0, 0.0, 0.0), 0.385)))
-    assert 0.025 < D.grid.cell_count / grid.mask.size < 0.035
-    box_bytes = grid.mask.size * 8
+def _traced_peak(call):
     tracemalloc.start()
     try:
-        fn(D)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fn", [op_norm, jacobian])
+def test_closed_forms_allocate_on_the_mask_only(fn):
+    # a ball holding about 3 % of a 48^3 box: the derivative and the closed
+    # forms must not build full-box temporaries, only arrays on the ball's
+    # cropped box and the returned field's array
+    grid = build_grid(Box((-1.0,) * 3, (1.0,) * 3), 48)
+    vm = VectorMap(grid, np.random.default_rng(3).normal(size=grid.shape + (3,)))
+    sub = vm.restrict(Ball((0.0, 0.0, 0.0), 0.385))
+    assert 0.025 < sub.grid.cell_count / grid.mask.size < 0.035
+    box_bytes = grid.mask.size * 8
+    peak = _traced_peak(lambda: fn(differential(sub)))
     assert peak < 2 * box_bytes, f"peak {peak / box_bytes:.1f} full-box arrays"
+
+
+def test_closed_forms_run_after_the_box_planes_are_freed():
+    # a ball map fills about half its box; the closed forms' temporaries on
+    # its cells must not coexist with the derivative's box planes, so the
+    # whole residual_defect peaks no higher than differential alone
+    grid = build_grid(Ball((0.0, 0.0, 0.0), 1.0), 32)
+    data = np.random.default_rng(5).normal(size=grid.shape + (3,))
+    vm = VectorMap(grid, np.where(grid.mask[..., None], data, np.nan))
+    K = ScalarField.from_values(grid, np.full(grid.cell_count, 2.0), nonnegative=True)
+    base = _traced_peak(lambda: differential(vm))
+    peak = _traced_peak(lambda: residual_defect(vm, K))
+    assert peak <= 1.05 * base, f"residual_defect peak {peak / base:.3f} x differential's"
 
 
 def _huge_map(dim, scale, noise):
