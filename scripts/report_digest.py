@@ -17,9 +17,12 @@ full size, in a child process that imports this checkout's
 ``perfbench/workloads.py`` (read-only: no bytecode is written) with SRC
 first on the path.  It prints one ``sha256 name`` line per operation
 report; after each ``map-3d-96`` ``verify_distortion`` report it also hashes
-the masked values of ``residual_defect(vm, K)`` and ``pointwise_distortion(vm)``
-for that check's map and K, and the indices of the quotient's defined cells
-among the map's cells; none of these depends on the box the map lives on.
+the masked rows ``differential(vm).entries``, the masked values of
+``residual_defect(vm, K)`` and ``pointwise_distortion(vm)`` for that check's
+map and K, and the indices of the quotient's defined cells among the map's
+cells; after each ``scalar-2d-1024`` pass it hashes the masked values of
+``grad_norm`` of the workload's field.  None of these depends on the box the
+map or field lives on.
 Run it on two trees and diff the outputs: equal lines mean byte-identical
 reports.
 """
@@ -79,6 +82,7 @@ LIBRARY = """
 import hashlib, sys
 import numpy as np
 from distlab.distortion import pointwise_distortion, residual_defect
+from distlab.fields import differential, grad_norm
 from workloads import WORKLOADS
 
 def sha(data):
@@ -102,12 +106,15 @@ for name in ("map-3d-96", "scalar-2d-1024"):
                 vm, K = checked[op.name]
                 pk = pointwise_distortion(vm)
                 arrays = {
+                    "differential.entries": differential(vm).entries,
                     "residual_Sigma.values": residual_defect(vm, K).values,
                     "pointwise_K.values": pk.values,
                     "pointwise_K.defined": np.flatnonzero(pk.grid.mask[vm.grid.mask]),
                 }
                 for label, arr in arrays.items():
                     print(sha(arr.tobytes()), tag, f"{op.name} [{label}]", flush=True)
+        if name == "scalar-2d-1024":
+            print(sha(grad_norm(w.field).values.tobytes()), tag, "[grad_norm.values]", flush=True)
 """
 
 

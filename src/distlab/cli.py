@@ -532,6 +532,8 @@ def _cmd_modulus(plan: CommandPlan) -> int:
             return np.stack([interpolate(c, pts) for c in comps], axis=-1)
 
     center = opts["center"] if opts["center"] is not None else [0.0] * dim
+    if len(center) != dim:
+        raise UsageError(f"--center needs {dim} coordinates, got {len(center)}")
     curve = modulus_curve(evaluator, center, opts["radii"], opts["samples"])
     try:
         fit = log_power_fit(curve).as_dict()

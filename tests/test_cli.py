@@ -447,6 +447,22 @@ def test_map_file_where_the_sweep_expects_a_scalar(tmp_path, capsys):
                 f"{rl}: expected a scalar field (values), found a map")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--example", "radial_log", "--dim", "2", "--center", "0,0,0"], "--center needs 2 coordinates, got 3"),
+        (["--example", "radial_log", "--dim", "2", "--center", "0"], "--center needs 2 coordinates, got 1"),
+        (["--example", "radial_log", "--dim", "3", "--center", "0,0"], "--center needs 3 coordinates, got 2"),
+        (["{map}", "--center", "0,0,0"], "--center needs 2 coordinates, got 3"),
+    ],
+    ids=["example-3-for-2", "example-1-for-2", "example-2-for-3", "map-3-for-2"],
+)
+def test_modulus_center_of_the_wrong_dimension(tmp_path, capsys, argv, message):
+    _, rl = _scalar_and_map(tmp_path, capsys)
+    argv = ["modulus", *(a.format(map=rl) for a in argv), "--radii", "0.01,0.1,0.2"]
+    _fails_with(argv, capsys, message)
+
+
 def test_chain_without_a_ball(tmp_path, capsys):
     _, rl = _scalar_and_map(tmp_path, capsys)
     _fails_with(["monotonicity", rl, "--chain"], capsys, "--chain needs --chain-ball R")

@@ -9,7 +9,9 @@ from distlab.fields import (
     Ball,
     Box,
     Grid,
+    MatrixField,
     ScalarField,
+    VectorMap,
     build_grid,
     differential,
     gradient,
@@ -183,12 +185,34 @@ def test_differential_identity_and_linear():
     g = build_grid(CENTERED, 16)
     ident = sample(g, lambda p: p)
     D = differential(ident)
-    assert np.allclose(D.data[g.mask], np.eye(2), atol=1e-12)
+    assert np.allclose(D.entries, np.eye(2)[..., None], atol=1e-12)
 
     A = np.array([[2.0, 1.0], [0.5, -3.0]])
     lin = sample(g, lambda p: p @ A.T)
     D = differential(lin)
-    assert np.allclose(D.data[g.mask], A, atol=1e-12)
+    assert np.allclose(D.entries, A[..., None], atol=1e-12)
+
+
+def test_matrix_field_checks_its_entries():
+    g = build_grid(UNIT_DISK, 8)
+    assert MatrixField(g, np.zeros((2, 2, g.cell_count))).entries.shape == (2, 2, g.cell_count)
+    for shape in [(2, 2, g.cell_count + 1), (3, 3, g.cell_count), g.shape + (2, 2), (g.cell_count, 2, 2)]:
+        with pytest.raises(ValueError, match=r"matrix entries shape must be \(dim, dim, masked cell count\)"):
+            MatrixField(g, np.zeros(shape))
+    for value in (np.nan, np.inf, -np.inf):
+        entries = np.zeros((2, 2, g.cell_count))
+        entries[1, 0, g.cell_count // 2] = value
+        with pytest.raises(ValueError, match="matrix entries must be finite on the mask"):
+            MatrixField(g, entries)
+
+
+def test_vector_map_from_values_checks_the_value_shape():
+    g = build_grid(UNIT_DISK, 8)
+    vals = np.arange(2.0 * g.cell_count).reshape(g.cell_count, 2)
+    assert np.array_equal(VectorMap.from_values(g, vals).data[g.mask], vals)
+    for shape in [(g.cell_count,), (2,), (g.cell_count + 1, 2), (2, g.cell_count)]:
+        with pytest.raises(ValueError, match=r"values must be \(masked cell count, dim\)"):
+            VectorMap.from_values(g, np.zeros(shape))
 
 
 def test_winding_singular_values():
@@ -523,6 +547,12 @@ def test_restricted_grid_keeps_the_parent_centres_bit_for_bit():
     assert np.array_equal(sphere_trace(r, small, 300), sphere_trace(f_full, small, 300))
     pts = sphere_points(Ball(small.center, 0.21), 200)
     assert np.array_equal(interpolate(r, pts), interpolate(f_full, pts))
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+def test_sphere_points_need_a_2d_or_3d_ball(dim):
+    with pytest.raises(ValueError, match="sphere points need a 2-D or 3-D ball"):
+        sphere_points(Ball((0.0,) * dim, 1.0), 16)
 
 
 def test_interpolation_outside_the_cropped_box():
