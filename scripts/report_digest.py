@@ -9,9 +9,12 @@ temporary directory, runs the README commands there (plus side-file
 outputs, the chain's CSV form, the ``--y0``, ``--band`` and ``--level``
 options, an off-centre sweep with radii down to 0.005, an off-centre
 chain, and the exit-1 paths for a file of the wrong kind, a missing
-``--chain-ball`` and an example without data), and prints one
-``exit sha256 command`` line per command and per side file; the hash
-covers stdout and stderr.  It then runs one pass of the ``map-3d-96`` and
+``--chain-ball``, an example without data, a ``--component`` outside the
+map, a non-finite or negative number and a ``--center`` of the wrong
+length), and prints one ``exit sha256 command`` line per command and per
+side file; the hash covers stdout and stderr.  It then hashes the file that
+``write_field(read_field(...))`` writes for ``rl.json`` and ``cone.json``,
+and runs one pass of the ``map-3d-96`` and
 ``scalar-2d-1024`` benchmark workloads at seed 5, at ``--quick`` and at
 full size, in a child process that imports this checkout's
 ``perfbench/workloads.py`` (read-only: no bytecode is written) with SRC
@@ -74,19 +77,37 @@ COMMANDS = [
     (["analyze", "rl.json", "--kfield", "rl.json"], []),
     (["monotonicity", "rl.json", "--chain"], []),
     (["gallery", "--export", "cone", "--resolution", "16", "--with-data", "--out", "c16.json"], ["c16.json"]),
+    # exit-1 paths: a component outside the map, non-finite or negative numbers, a --center of the wrong length
+    (CHAIN + ["--component", "5"], []),
+    (CHAIN + ["--component", "-1"], []),
+    (["analyze", "rl.json", *RL_DATA, "--rel-tol", "nan"], []),
+    (["analyze", "rl.json", "--p", "4", "--q", "4", "--rel-tol", "-1"], []),
+    (["analyze", "rl.json", "--p", "4", "--q", "4", "--y0", "nan,0"], []),
+    (["analyze", "rl.json", "--p", "nan", "--q", "4"], []),
+    (["staircase", "cone.json", "--gamma", "0.5", "--epsilon", "nan"], []),
+    (["monotonicity", "rl.json", "--chain", "--center", "0,0", "--chain-ball", "nan"], []),
+    (["monotonicity", "cone.json", "--center", "nan,0", "--radii", "0.1,0.2"], []),
+    (["monotonicity", "cone.json", "--center", "0,0,0", "--radii", "0.1,0.2"], []),
+    (["monotonicity", "rl.json", "--chain", "--center", "0,0,0", "--chain-ball", "0.3"], []),
 ]
 
 
-# one pass of each library workload at seed 5; argv[1] is SRC
+# the field-file round trip, then one pass of each library workload at seed 5; argv[1] is SRC
 LIBRARY = """
 import hashlib, sys
 import numpy as np
 from distlab.distortion import pointwise_distortion, residual_defect
+from distlab.fieldio import read_field, write_field
 from distlab.fields import differential, grad_norm
 from workloads import WORKLOADS
 
 def sha(data):
     return hashlib.sha256(data).hexdigest()
+
+for name in ("rl.json", "cone.json"):
+    write_field(read_field(name), "round_trip.json")
+    with open("round_trip.json", "rb") as fh:
+        print(sha(fh.read()), "read_field -> write_field", name, flush=True)
 
 for name in ("map-3d-96", "scalar-2d-1024"):
     for quick in (True, False):

@@ -79,20 +79,35 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _number(text: str) -> float:
+    """A finite number (``type=float`` would also take nan and inf)."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
 def _floats(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x != ""]
+        vals = [float(x) for x in text.split(",") if x != ""]
     except ValueError as exc:
         raise UsageError(f"expected a comma-separated list of numbers, got {text!r}") from exc
+    if not all(map(math.isfinite, vals)):
+        raise UsageError(f"expected finite numbers, got {text!r}")
+    return vals
 
 
 def _exponent(text: str) -> float:
-    if text in ("inf", "Inf", "INF"):
-        return math.inf
     try:
-        return float(text)
-    except ValueError as exc:
-        raise UsageError(f"expected a number or 'inf', got {text!r}") from exc
+        p = float(text)
+    except ValueError:
+        p = math.nan  # rejected below, as a nan that float() reads is
+    if math.isnan(p):
+        raise UsageError(f"expected a number or 'inf', got {text!r}")
+    return p
 
 
 def _params(text: str) -> dict:
@@ -107,6 +122,8 @@ def _params(text: str) -> dict:
             out[key.strip()] = float(val)
         except ValueError as exc:
             raise UsageError(f"parameter {key!r} needs a numeric value") from exc
+        if not math.isfinite(out[key.strip()]):
+            raise UsageError(f"parameter {key!r} needs a finite value, got {val!r}")
     return out
 
 
@@ -134,7 +151,7 @@ def _build_parser() -> _Parser:
     a.add_argument("--kfield", default=None, help="scalar field file with K (default: K = 1)")
     a.add_argument("--sigmafield", default=None, help="scalar field file with Sigma (default: minimal defect)")
     a.add_argument("--y0", type=_floats, default=None, help="target point for a value-of-finite-distortion check")
-    a.add_argument("--rel-tol", type=float, default=None)
+    a.add_argument("--rel-tol", type=_number, default=None)
     a.add_argument("--violations-out", default=None)
     common(a)
 
@@ -156,8 +173,8 @@ def _build_parser() -> _Parser:
 
     t = sub.add_parser("staircase", help="staircase of the inverse distribution power")
     t.add_argument("field", help="scalar field file (nonnegative)")
-    t.add_argument("--gamma", type=float, required=True)
-    t.add_argument("--epsilon", type=float, required=True)
+    t.add_argument("--gamma", type=_number, required=True)
+    t.add_argument("--epsilon", type=_number, required=True)
     t.add_argument("--max-steps", type=int, default=64)
     t.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     common(t)
@@ -168,15 +185,15 @@ def _build_parser() -> _Parser:
     m.add_argument("--radii", type=_floats, default=None)
     m.add_argument("--samples", type=int, default=None)
     m.add_argument("--osc-levels", type=int, default=6)
-    m.add_argument("--osc-R", type=float, default=None)
+    m.add_argument("--osc-R", type=_number, default=None)
     m.add_argument("--chain", action="store_true")
-    m.add_argument("--chain-ball", type=float, default=None, help="radius of the chain ball around --center")
+    m.add_argument("--chain-ball", type=_number, default=None, help="radius of the chain ball around --center")
     m.add_argument("--component", type=int, default=0)
-    m.add_argument("--level", type=float, default=None, help="truncation level (default: sphere-trace extremum)")
+    m.add_argument("--level", type=_number, default=None, help="truncation level (default: sphere-trace extremum)")
     m.add_argument("--mode", choices=("above", "below"), default="above")
     m.add_argument("--p", type=_exponent, default=4.0)
     m.add_argument("--q", type=_exponent, default=4.0)
-    m.add_argument("--gamma", type=float, default=None)
+    m.add_argument("--gamma", type=_number, default=None)
     m.add_argument("--kfield", default=None)
     m.add_argument("--sigmafield", default=None)
     m.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json", help="csv needs --chain")
@@ -458,14 +475,19 @@ def _cmd_staircase(plan: CommandPlan) -> int:
     return 0 if ok else 2
 
 
+def _center(opts: dict, default: list[float]) -> tuple[float, ...]:
+    """``--center``, or ``default``; it must have as many coordinates as ``default``."""
+    center = default if opts["center"] is None else opts["center"]
+    if len(center) != len(default):
+        raise UsageError(f"--center needs {len(default)} coordinates, got {len(center)}")
+    return tuple(center)
+
+
 def _cmd_monotonicity(plan: CommandPlan) -> int:
     opts = plan.options
     obj = _read(opts["field"], VectorMap if opts["chain"] else ScalarField)
     grid = obj.grid
-    center = opts["center"]
-    if center is None:
-        center = [grid.origin[a] + grid.shape[a] * grid.spacing / 2 for a in range(grid.dim)]
-    center = tuple(center)
+    center = _center(opts, [grid.origin[a] + grid.shape[a] * grid.spacing / 2 for a in range(grid.dim)])
 
     if opts["chain"]:
         if opts["chain_ball"] is None:
@@ -531,9 +553,7 @@ def _cmd_modulus(plan: CommandPlan) -> int:
         def evaluator(pts, comps=comps):
             return np.stack([interpolate(c, pts) for c in comps], axis=-1)
 
-    center = opts["center"] if opts["center"] is not None else [0.0] * dim
-    if len(center) != dim:
-        raise UsageError(f"--center needs {dim} coordinates, got {len(center)}")
+    center = _center(opts, [0.0] * dim)
     curve = modulus_curve(evaluator, center, opts["radii"], opts["samples"])
     try:
         fit = log_power_fit(curve).as_dict()

@@ -27,6 +27,7 @@ from .fields import (
     VectorMap,
     _det,
     _finite,
+    _lives_on,
     _same_lattice,
     _smax,
     boundary_support_ok,
@@ -72,7 +73,7 @@ class DistortionData:
             raise ValueError("K must be nonnegative")
         if (self.Sigma.values < 0).any():
             raise ValueError("Sigma must be nonnegative")
-        if self.p < 1 or self.q < 1:
+        if not (self.p >= 1 and self.q >= 1):
             raise ValueError("exponents must lie in [1, inf]")
 
     @property
@@ -98,10 +99,8 @@ def _lp(vals: np.ndarray, p: float, hvol: float) -> float:
 
 def _require_map_grid(vm: VectorMap, **data: ScalarField) -> None:
     """Distortion data must live on the map's grid: the same lattice and mask."""
-    grid = vm.grid
     for name, field in data.items():
-        g = field.grid
-        if g is not grid and not (_same_lattice(g, grid) and np.array_equal(g.mask, grid.mask)):
+        if not _lives_on(field, vm.grid):
             raise ValueError(f"{name} does not live on the map's grid (lattice and mask must match)")
 
 
@@ -214,15 +213,20 @@ def verify_distortion(
     grid = vm.grid
     n = grid.dim
     _require_map_grid(vm, K=data.K, Sigma=data.Sigma)
+    if rel_tol is not None and not 0 <= rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be a finite number >= 0, got {rel_tol}")
+    if y0 is not None:
+        y0 = np.asarray(y0, dtype=float)
+        if y0.shape != (n,):
+            raise ValueError("y0 must be a point of the target space")
+        if not np.isfinite(y0).all():
+            raise ValueError("y0 must be a finite point of the target space")
     dn, J = _derivative_powers(vm)
     K = data.K.values
     Sigma = data.Sigma.values
 
     if y0 is not None:
-        y0 = np.asarray(y0, dtype=float)
-        if y0.shape != (n,):
-            raise ValueError("y0 must be a point of the target space")
-        dist_n = ((vm.data[grid.mask] - y0) ** 2).sum(axis=1) ** (n / 2.0)
+        dist_n = ((np.stack([c.values for c in vm.components], axis=1) - y0) ** 2).sum(axis=1) ** (n / 2.0)
         # +inf wherever Sigma is, also at distance 0 where 0 * inf is NaN
         with np.errstate(invalid="ignore"):
             defect = np.where(np.isposinf(Sigma), np.inf, dist_n * Sigma)

@@ -180,7 +180,7 @@ def neg_power_integral(field: ScalarField, gamma: float, which: str) -> PowerInt
     because the top level has empty strict superlevel set.  The trimmed
     diagnostic excludes the top level.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     if which not in ("upper", "lower"):
         raise ValueError("which must be 'upper' or 'lower'")
@@ -205,7 +205,7 @@ def neg_power_integral(field: ScalarField, gamma: float, which: str) -> PowerInt
 def pos_power_integral(field: ScalarField, r: float, which: str) -> PowerIntegralResult:
     """Integral of (mu o f)^r; the ordering of the bounds is reversed
     relative to the negative-power case."""
-    if r <= 0:
+    if not r > 0:
         raise ValueError("r must be positive")
     if which not in ("upper", "lower"):
         raise ValueError("which must be 'upper' or 'lower'")

@@ -59,9 +59,7 @@ def field_document(obj: ScalarField | VectorMap) -> dict:
     if isinstance(obj, ScalarField):
         doc["values"] = _array_with_nulls(grid, obj.data)
     else:
-        doc["components"] = [
-            _array_with_nulls(grid, obj.data[..., i]) for i in range(grid.dim)
-        ]
+        doc["components"] = [_array_with_nulls(grid, c.data) for c in obj.components]
     return doc
 
 
@@ -141,10 +139,8 @@ def _parse_array(grid: Grid, arr: list, name: str) -> np.ndarray:
 
 def field_from_document(doc: dict) -> ScalarField | VectorMap:
     grid, payload = _rebuild_grid(doc)
-    arrays = [_parse_array(grid, arr, name) for name, arr in payload.items()]
-    if "values" in payload:
-        return ScalarField(grid, arrays[0])
-    return VectorMap(grid, np.stack(arrays, axis=-1))
+    fields = tuple(ScalarField(grid, _parse_array(grid, arr, name)) for name, arr in payload.items())
+    return fields[0] if "values" in payload else VectorMap(grid, fields)
 
 
 def write_field(obj: ScalarField | VectorMap, path) -> None:

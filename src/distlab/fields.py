@@ -11,7 +11,7 @@ multilinear interpolation at fixed quadrature points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -48,7 +48,7 @@ class Box:
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
             raise ValueError("box lo/hi dimension mismatch")
-        if any(h <= l for l, h in zip(self.lo, self.hi)):
+        if not all(l < h for l, h in zip(self.lo, self.hi)):
             raise ValueError("degenerate box")
 
 
@@ -60,7 +60,7 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("ball radius must be positive")
 
     @property
@@ -183,6 +183,11 @@ def _same_lattice(a: Grid, b: Grid) -> bool:
     return same and all(abs(x - y) <= 1e-12 * max(1.0, abs(y)) for x, y in pairs)
 
 
+def _lives_on(field: "ScalarField", grid: Grid) -> bool:
+    """The field's grid is ``grid``, or has the same lattice and mask."""
+    return field.grid is grid or (_same_lattice(field.grid, grid) and np.array_equal(field.grid.mask, grid.mask))
+
+
 def _shift(arr: np.ndarray, axis: int, by: int) -> np.ndarray:
     """Shift with zero/False fill (no wrap-around)."""
     out = np.zeros_like(arr)
@@ -281,10 +286,11 @@ class ScalarField:
 
     def restrict(self, where: Ball | np.ndarray) -> "ScalarField":
         """Field restricted to a sub-domain (ball or boolean mask), on the grid :meth:`Grid.crop` cuts."""
-        sub, window = self.grid.crop(where)
-        return ScalarField.from_values(
-            sub, self.data[window][sub.mask], nonnegative=self.nonnegative, allow_infinite=self.allow_infinite
-        )
+        return self._cropped(*self.grid.crop(where))
+
+    def _cropped(self, sub: Grid, window: tuple[slice, ...]) -> "ScalarField":
+        """This field on ``sub``, the grid that :meth:`Grid.crop` cut with ``window``."""
+        return replace(self, grid=sub, data=np.where(sub.mask, self.data[window], np.nan))
 
     def max(self) -> float:
         return float(self.values.max())
@@ -295,43 +301,42 @@ class ScalarField:
 
 @dataclass(frozen=True, eq=False)
 class VectorMap:
-    """A sampled map into R^dim: one scalar component per coordinate."""
+    """A sampled map into R^dim: one scalar field per coordinate, each on the
+    map's grid.  The components are the stored fields, not copies."""
 
     grid: Grid
-    data: np.ndarray  # shape grid.shape + (dim,)
+    components: tuple[ScalarField, ...]
 
     def __post_init__(self):
-        if self.data.shape != self.grid.shape + (self.grid.dim,):
-            raise ValueError("map data shape must be grid shape + (dim,)")
-        if not np.isfinite(self.data[self.grid.mask]).all():
-            raise ValueError("map values must be finite on the mask")
+        if len(self.components) != self.grid.dim:
+            raise ValueError(f"a map on a {self.grid.dim}-D grid needs {self.grid.dim} components")
+        for c in self.components:
+            if not _lives_on(c, self.grid):
+                raise ValueError("map components must live on the map's grid (lattice and mask must match)")
+            if c.allow_infinite and not np.isfinite(c.values).all():
+                raise ValueError("map values must be finite on the mask")
 
     @classmethod
     def from_values(cls, grid: Grid, values: np.ndarray) -> "VectorMap":
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.cell_count, grid.dim):
             raise ValueError("values must be (masked cell count, dim)")
-        data = np.full(grid.shape + (grid.dim,), np.nan)
-        data[grid.mask] = values
-        return cls(grid, data)
+        return cls(grid, tuple(ScalarField.from_values(grid, v) for v in values.T))
 
     def component(self, i: int) -> ScalarField:
-        # a boolean gather from the strided view; data[mask, i] goes through index arrays
-        return ScalarField.from_values(self.grid, self.data[..., i][self.grid.mask])
-
-    @property
-    def components(self) -> tuple[ScalarField, ...]:
-        return tuple(self.component(i) for i in range(self.grid.dim))
+        d = self.grid.dim
+        if not 0 <= i < d:
+            raise ValueError(f"component {i} is not a coordinate of the {d}-D map (0 to {d - 1})")
+        return self.components[i]
 
     def with_component(self, i: int, comp: ScalarField) -> "VectorMap":
-        data = self.data.copy()
-        data[..., i] = comp.data
-        return VectorMap(self.grid, data)
+        """The map with component ``i`` replaced; the other components are shared."""
+        self.component(i)  # the same index check
+        return VectorMap(self.grid, self.components[:i] + (comp,) + self.components[i + 1 :])
 
     def restrict(self, where: Ball | np.ndarray) -> "VectorMap":
-        # np.where, not from_values: that fill-and-scatter leaves a heap layout that peaks about 9 % higher at 96^3
         sub, window = self.grid.crop(where)
-        return VectorMap(sub, np.where(sub.mask[..., None], self.data[window], np.nan))
+        return VectorMap(sub, tuple(c._cropped(sub, window) for c in self.components))
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,7 +425,7 @@ def gradient(field: ScalarField) -> VectorMap:
 
 def differential(vm: VectorMap) -> MatrixField:
     """Row-wise finite-difference derivative matrix: D[i][j] = d f_i / d x_j."""
-    return MatrixField(vm.grid, _derivative(vm.grid, [vm.data[..., i] for i in range(vm.grid.dim)]))
+    return MatrixField(vm.grid, _derivative(vm.grid, [c.data for c in vm.components]))
 
 
 def grad_norm(field: ScalarField) -> ScalarField:

@@ -167,7 +167,7 @@ def staircase_approx(F: MonotoneFn, epsilon: float, max_steps: int) -> Staircase
 
     The prefix is deterministic: raising ``max_steps`` only appends.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
@@ -228,7 +228,7 @@ def staircase_approx(F: MonotoneFn, epsilon: float, max_steps: int) -> Staircase
 def inverse_distribution_fn(field: ScalarField, gamma: float) -> MonotoneFn:
     """The step function mu_plus^(-gamma) of a sampled field, exact; its
     staircase has s equal to the field maximum."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     dist = upper_distribution(field)
     if field.max() <= 0:

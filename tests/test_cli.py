@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -461,6 +462,73 @@ def test_modulus_center_of_the_wrong_dimension(tmp_path, capsys, argv, message):
     _, rl = _scalar_and_map(tmp_path, capsys)
     argv = ["modulus", *(a.format(map=rl) for a in argv), "--radii", "0.01,0.1,0.2"]
     _fails_with(argv, capsys, message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["{cone}", "--center", "0,0,0", "--radii", "0.1,0.2"],
+        ["{cone}", "--center", "0", "--radii", "0.1,0.2"],
+        ["{map}", "--chain", "--center", "0,0,0", "--chain-ball", "0.3"],
+        ["{map}", "--chain", "--center", "0", "--chain-ball", "0.3"],
+    ],
+    ids=["sweep-3-for-2", "sweep-1-for-2", "chain-3-for-2", "chain-1-for-2"],
+)
+def test_monotonicity_center_of_the_wrong_dimension(tmp_path, capsys, argv):
+    cone, rl = _scalar_and_map(tmp_path, capsys)
+    argv = ["monotonicity", *(a.format(cone=cone, map=rl) for a in argv)]
+    got = len(argv[argv.index("--center") + 1].split(","))
+    _fails_with(argv, capsys, f"--center needs 2 coordinates, got {got}")
+
+
+@pytest.mark.parametrize("component", ["2", "5", "-1", "-3"])
+def test_chain_component_outside_the_map(tmp_path, capsys, component):
+    _, rl = _scalar_and_map(tmp_path, capsys)
+    argv = ["monotonicity", rl, "--chain", "--center", "0,0", "--chain-ball", "0.3", "--component", component]
+    _fails_with(argv, capsys, f"component {component} is not a coordinate of the 2-D map (0 to 1)")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "{map}", "--kfield", "{k}", "--sigmafield", "{sigma}", "--p", "4", "--q", "4", "--rel-tol", "nan"],
+         "argument --rel-tol: not a finite number: 'nan'"),
+        (["analyze", "{map}", "--rel-tol", "inf"], "argument --rel-tol: not a finite number: 'inf'"),
+        (["analyze", "{map}", "--rel-tol", "-1"], "rel_tol must be a finite number >= 0, got -1.0"),
+        (["analyze", "{map}", "--p", "4", "--q", "4", "--y0", "nan,0"], "expected finite numbers, got 'nan,0'"),
+        (["analyze", "{map}", "--y0", "0,-inf"], "expected finite numbers, got '0,-inf'"),
+        (["analyze", "{map}", "--p", "nan", "--q", "4"], "expected a number or 'inf', got 'nan'"),
+        (["staircase", "{cone}", "--gamma", "0.5", "--epsilon", "nan"], "argument --epsilon: not a finite number: 'nan'"),
+        (["staircase", "{cone}", "--gamma", "nan", "--epsilon", "0.4"], "argument --gamma: not a finite number: 'nan'"),
+        (["monotonicity", "{map}", "--chain", "--center", "0,0", "--chain-ball", "nan"],
+         "argument --chain-ball: not a finite number: 'nan'"),
+        (["monotonicity", "{map}", "--chain", "--center", "0,0", "--chain-ball", "0.3", "--level", "inf"],
+         "argument --level: not a finite number: 'inf'"),
+        (["monotonicity", "{cone}", "--center", "nan,0", "--radii", "0.1,0.2"], "expected finite numbers, got 'nan,0'"),
+        (["monotonicity", "{cone}", "--center", "0,0", "--radii", "0.1,0.2", "--osc-R", "nan"],
+         "argument --osc-R: not a finite number: 'nan'"),
+        (["distribution", "{cone}", "--avalues", "0,nan"], "expected finite numbers, got '0,nan'"),
+        (["modulus", "--example", "winding", "--params", "k=nan", "--radii", "0.1,0.2"],
+         "parameter 'k' needs a finite value, got 'nan'"),
+        (["modulus", "--example", "radial_power", "--params", "a=inf", "--radii", "0.1,0.2"],
+         "parameter 'a' needs a finite value, got 'inf'"),
+    ],
+    ids=["rel-tol-nan", "rel-tol-inf", "rel-tol-negative", "y0-nan", "y0-inf", "p-nan", "epsilon-nan",
+         "gamma-nan", "chain-ball-nan", "level-inf", "center-nan", "osc-R-nan", "avalues-nan", "params-nan",
+         "params-inf"],
+)
+def test_non_finite_numbers_are_rejected(tmp_path, capsys, argv, message):
+    cone, rl = _scalar_and_map(tmp_path, capsys)
+    names = {"cone": cone, "map": rl, "k": rl[: -len(".json")] + ".k.json", "sigma": rl[: -len(".json")] + ".sigma.json"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning before the message
+        _fails_with([a.format(**names) for a in argv], capsys, message)
+
+
+def test_exponents_still_take_inf(tmp_path, capsys):
+    _, rl = _scalar_and_map(tmp_path, capsys)
+    assert main(["analyze", rl, "--p", "inf", "--q", "inf"]) == 0
+    assert json.loads(capsys.readouterr().out)["p"] == math.inf
 
 
 def test_chain_without_a_ball(tmp_path, capsys):

@@ -89,9 +89,9 @@ def _ref_gradient(grid, data):
 def _ref_grad_norm(grid, data):
     """``grad_norm`` as it was: through a gradient ``VectorMap``, which
     rejects non-finite derivatives on the mask."""
-    g = VectorMap(grid, _ref_gradient(grid, data))
+    g = _map(grid, _ref_gradient(grid, data))
     with np.errstate(over="ignore"):  # as in the package: an overflow is rejected as non-finite
-        return np.where(grid.mask, np.sqrt((g.data**2).sum(axis=-1)), np.nan)
+        return np.where(grid.mask, np.sqrt(sum(c.data**2 for c in g.components)), np.nan)
 
 
 def _ref_differential(vm):
@@ -99,7 +99,7 @@ def _ref_differential(vm):
     d = grid.dim
     rows = []
     for i in range(d):
-        comps = [_ref_axis_derivative(grid, vm.data[..., i], a) for a in range(d)]
+        comps = [_ref_axis_derivative(grid, vm.components[i].data, a) for a in range(d)]
         rows.append(np.stack(comps, axis=-1))
     return np.stack(rows, axis=-2)
 
@@ -171,15 +171,15 @@ def masked_maps(draw, uncropped=False):
     """Random maps on 2-D/3-D box, ball and restricted masks, and on
     non-cubic boxes (some with an axis of exactly 2 cells, where no cell has
     both neighbours along it); off-mask entries are NaN, +inf or arbitrary
-    finite values, and the data is C-ordered, Fortran-ordered or a strided
-    view.  With ``uncropped``, a pair: the map and, for a restricted one,
+    finite values, and the components are views of a C-ordered,
+    Fortran-ordered or strided box, or C-contiguous planes.  With ``uncropped``, a pair: the map and, for a restricted one,
     the same cells and values on the full box (else None)."""
     dim = draw(st.sampled_from([2, 3]))
     res = draw(st.integers(4, 20 if dim == 2 else 9))
     kind = draw(st.sampled_from(["box", "ball", "restrict", "slab"]))
     seed = draw(st.integers(0, 2**32 - 1))
     off = draw(st.sampled_from(["nan", "inf", "finite"]))
-    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    layout = draw(st.sampled_from(["C", "F", "strided", "planes"]))
     rng = np.random.default_rng(seed)
     if kind == "ball":
         grid = build_grid(Ball((0.0,) * dim, 1.0), res)
@@ -191,7 +191,7 @@ def masked_maps(draw, uncropped=False):
     else:
         grid = build_grid(Box((-1.0,) * dim, (1.0,) * dim), res)
     data = rng.normal(size=grid.shape + (dim,)) * rng.uniform(0.1, 10.0)
-    vm = VectorMap(grid, data)
+    vm = _map(grid, data)
     twin = None
     fill = {"nan": np.nan, "inf": np.inf, "finite": 3.5}[off]
     if kind == "restrict":
@@ -199,19 +199,26 @@ def masked_maps(draw, uncropped=False):
         # faces and at the curved boundary, on both sides of each axis
         center = tuple(rng.uniform(-0.6, 0.6, dim))
         full = grid.with_mask(grid.ball_mask(Ball(center, rng.uniform(0.5, 1.2))))
-        twin = VectorMap(full, np.where(full.mask[..., None], data, fill))
+        twin = _map(full, np.where(full.mask[..., None], data, fill))
         vm = vm.restrict(full.mask)
-    data = np.where(vm.grid.mask[..., None], vm.data, fill)
+    data = np.where(vm.grid.mask[..., None], np.stack([c.data for c in vm.components], axis=-1), fill)
     if layout == "F":
         data = np.asfortranarray(data)
     elif layout == "strided":
         data = np.repeat(data, 2, axis=-1)[..., ::2]
-    vm = VectorMap(vm.grid, data)
+    elif layout == "planes":
+        data = np.moveaxis(np.moveaxis(data, -1, 0).copy(), 0, -1)
+    vm = _map(vm.grid, data)
     return (vm, twin) if uncropped else vm
 
 
 def _same(a, b):
     return np.array_equal(a, b, equal_nan=True)
+
+
+def _map(grid, box):
+    """The map whose components are the views ``box[..., i]`` of a ``shape + (dim,)`` box."""
+    return VectorMap(grid, tuple(ScalarField(grid, box[..., i]) for i in range(grid.dim)))
 
 
 # ------------------------------------------------------------------ tests
@@ -235,10 +242,10 @@ def test_planar_kernel_matches_reference(case):
     assert _same(op_norm(D).data, _ref_op_norm(grid, ref_D))
     assert _same(jacobian(D).data, _ref_jacobian(grid, ref_D))
 
-    strided = [ScalarField(grid, vm.data[..., i]) for i in range(grid.dim)]  # not C-contiguous
-    for f in (*vm.components, *strided):
+    contiguous = [ScalarField(grid, np.ascontiguousarray(c.data)) for c in vm.components]
+    for f in (*vm.components, *contiguous):
         ref_g = _ref_gradient(grid, f.data)
-        assert _same(gradient(f).data, ref_g)
+        assert _same(np.stack([c.data for c in gradient(f).components], axis=-1), ref_g)
         assert _same(grad_norm(f).data, _ref_grad_norm(grid, f.data))
 
     if twin is not None:  # the cropped box gives the full box's masked values
@@ -301,7 +308,7 @@ def test_closed_forms_allocate_on_the_mask_only(fn):
     # forms must not build full-box temporaries, only arrays on the ball's
     # cropped box and the returned field's array
     grid = build_grid(Box((-1.0,) * 3, (1.0,) * 3), 48)
-    vm = VectorMap(grid, np.random.default_rng(3).normal(size=grid.shape + (3,)))
+    vm = _map(grid, np.random.default_rng(3).normal(size=grid.shape + (3,)))
     sub = vm.restrict(Ball((0.0, 0.0, 0.0), 0.385))
     assert 0.025 < sub.grid.cell_count / grid.mask.size < 0.035
     box_bytes = grid.mask.size * 8
@@ -315,7 +322,7 @@ def test_closed_forms_run_after_the_box_planes_are_freed():
     # whole residual_defect peaks no higher than differential alone
     grid = build_grid(Ball((0.0, 0.0, 0.0), 1.0), 32)
     data = np.random.default_rng(5).normal(size=grid.shape + (3,))
-    vm = VectorMap(grid, np.where(grid.mask[..., None], data, np.nan))
+    vm = _map(grid, np.where(grid.mask[..., None], data, np.nan))
     K = ScalarField.from_values(grid, np.full(grid.cell_count, 2.0), nonnegative=True)
     base = _traced_peak(lambda: differential(vm))
     peak = _traced_peak(lambda: residual_defect(vm, K))
@@ -326,8 +333,8 @@ def test_differential_frees_the_component_copies_before_the_gather():
     # the strided components are copied flat for the stencils; the copies
     # must be gone when the masked rows are gathered out of the box planes
     grid = build_grid(Ball((0.0, 0.0, 0.0), 1.0), 32)
-    vm = VectorMap(grid, np.random.default_rng(7).normal(size=grid.shape + (3,)))
-    assert not vm.data[..., 0].flags["C_CONTIGUOUS"]
+    vm = _map(grid, np.random.default_rng(7).normal(size=grid.shape + (3,)))
+    assert not vm.component(0).data.flags["C_CONTIGUOUS"]
     planes, rows = 9 * 8 * grid.mask.size, 9 * 8 * grid.cell_count
     peak = _traced_peak(lambda: differential(vm))
     assert peak <= 1.05 * (planes + rows), f"peak {peak / (planes + rows):.3f} x (box planes + masked rows)"
@@ -336,7 +343,7 @@ def test_differential_frees_the_component_copies_before_the_gather():
 def _huge_map(dim, scale, noise):
     grid = build_grid(Box((-1.0,) * dim, (1.0,) * dim), 6)
     rng = np.random.default_rng(dim)
-    return VectorMap(grid, scale * (grid.centers + noise * rng.normal(size=grid.shape + (dim,))))
+    return _map(grid, scale * (grid.centers + noise * rng.normal(size=grid.shape + (dim,))))
 
 
 def _huge_cell_field():
@@ -369,7 +376,7 @@ def test_overflow_raises_only_the_documented_error(call):
 
 def _noise_map():
     grid = build_grid(Box((-1.0, -1.0), (1.0, 1.0)), 6)
-    return VectorMap(grid, 1e160 * np.random.default_rng(0).standard_normal(grid.shape + (2,)))
+    return _map(grid, 1e160 * np.random.default_rng(0).standard_normal(grid.shape + (2,)))
 
 
 def _unit_data(grid):
@@ -382,7 +389,7 @@ def _antipodal_map():
     grid = build_grid(Box((-6.0, -6.0), (6.0, 6.0)), 6)
     data = np.zeros(grid.shape + (2,))
     data[1, 3], data[3, 3] = 1.7e308, -1.7e308
-    return VectorMap(grid, data)
+    return _map(grid, data)
 
 
 @pytest.mark.parametrize(
@@ -419,7 +426,7 @@ def test_pointwise_distortion_keeps_no_cell_with_overflowing_power():
     grid = build_grid(Box((-1.0, -1.0), (1.0, 1.0)), 8)
     x, y = grid.centers[..., 0], grid.centers[..., 1]
     right = x > 0
-    vm = VectorMap(grid, np.stack([np.where(right, 1e200 * x, x), np.where(right, 1e-200 * y, y)], axis=-1))
+    vm = _map(grid, np.stack([np.where(right, 1e200 * x, x), np.where(right, 1e-200 * y, y)], axis=-1))
     with pytest.raises(ValueError, match="finite on the mask"):
         pointwise_distortion(vm)
 
@@ -429,7 +436,7 @@ def test_pointwise_distortion_keeps_no_cell_with_overflowing_power():
 def test_grad_norm_rejects_nonfinite_like_reference(vm, cell, value):
     # a defect field may carry +inf; a huge finite value overflows the squares
     grid = vm.grid
-    data = vm.data[..., 0].copy()
+    data = vm.component(0).data.copy()
     data[tuple(np.argwhere(grid.mask)[cell % grid.cell_count])] = value
     f = ScalarField(grid, data, allow_infinite=True)
     try:
@@ -447,7 +454,7 @@ def test_grad_norm_rejects_nonfinite_like_reference(vm, cell, value):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_differential_entries_are_contiguous_planes(dim):
     grid = build_grid(Ball((0.0,) * dim, 1.0), 12)
-    vm = VectorMap(grid, np.random.default_rng(dim).normal(size=grid.shape + (dim,)))
+    vm = _map(grid, np.random.default_rng(dim).normal(size=grid.shape + (dim,)))
     D = differential(vm)
     assert D.entries.shape == (dim, dim, grid.cell_count)
     for i in range(dim):
@@ -463,7 +470,7 @@ def test_isolated_cell_message_unchanged():
     msg = "isolated masked cell along axis 0: no neighbor for differences"
     with pytest.raises(ValueError, match=msg):
         gradient(f)
-    vm = VectorMap(g, np.stack([f.data, f.data], axis=-1))
+    vm = VectorMap(g, (f, f))
     with pytest.raises(ValueError, match=msg):
         differential(vm)
     with pytest.raises(ValueError, match=msg):

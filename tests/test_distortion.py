@@ -340,10 +340,46 @@ def test_verify_y0_at_infinite_sigma_cell_stays_finite():
     Sigma = ScalarField.from_values(g, sigma, nonnegative=True, allow_infinite=True)
     data = DistortionData(const_field(g, 1.0), Sigma, 4.0, 4.0)
     plain = verify_distortion(vm, data)
-    rep = verify_distortion(vm, data, y0=vm.data[g.mask][0])
+    rep = verify_distortion(vm, data, y0=[c.values[0] for c in vm.components])
     assert math.isfinite(rep.max_violation) and math.isfinite(rep.max_excess)
     assert rep.violation_count == plain.violation_count == g.cell_count - 1
     assert rep.as_dict() == plain.as_dict()
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -1.0])
+def test_verify_rejects_a_tolerance_that_is_negative_or_not_finite(rel_tol):
+    # a NaN tolerance used to report no violation and tol_rel NaN; -1 counted every cell
+    g = build_grid(CENTERED, 8)
+    vm = sample(g, lambda p: p)
+    data = DistortionData(const_field(g, 1.0), const_field(g, 0.0), 4.0, 4.0)
+    with pytest.raises(ValueError, match=f"rel_tol must be a finite number >= 0, got {rel_tol}"):
+        verify_distortion(vm, data, rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("y0", [(math.nan, 0.0), (0.0, math.inf)])
+def test_verify_rejects_a_non_finite_target_point(y0):
+    g = build_grid(CENTERED, 8)
+    vm = sample(g, lambda p: p)
+    data = DistortionData(const_field(g, 1.0), const_field(g, 0.0), 4.0, 4.0)
+    with pytest.raises(ValueError, match="y0 must be a finite point"):
+        verify_distortion(vm, data, y0=y0)
+
+
+@pytest.mark.parametrize("p, q", [(math.nan, 4.0), (4.0, math.nan)])
+def test_distortion_data_rejects_nan_exponents(p, q):
+    g = build_grid(CENTERED, 8)
+    with pytest.raises(ValueError, match=r"exponents must lie in \[1, inf\]"):
+        DistortionData(const_field(g, 1.0), const_field(g, 0.0), p, q)
+
+
+@pytest.mark.parametrize("i", [2, -1])
+def test_zero_integral_laws_reject_a_component_outside_the_map(i):
+    g = build_grid(CENTERED, 8)
+    vm = sample(g, lambda p: p)
+    with pytest.raises(ValueError, match=f"component {i} is not a coordinate of the 2-D map"):
+        zero_integral_check(vm, i)
+    with pytest.raises(ValueError, match=f"component {i} is not a coordinate of the 2-D map"):
+        weighted_zero_integral_check(vm, i, MonotoneFn.analytic(lambda t: t, math.inf))
 
 
 def test_critical_holder_exponent_reported():

@@ -231,6 +231,10 @@ def test_neg_power_invalid_args():
         neg_power_integral(f, -0.5, "upper")
     with pytest.raises(ValueError):
         neg_power_integral(f, 1.5, "upper")
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        neg_power_integral(f, math.nan, "upper")
+    with pytest.raises(ValueError, match="r must be positive"):
+        pos_power_integral(f, math.nan, "upper")
 
 
 def test_pos_power_constant_field():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,7 +154,7 @@ def test_gradient_constant_zero():
     g = build_grid(UNIT_SQUARE, 6)
     f = sample(g, lambda p: np.full(len(p), 3.7))
     grad = gradient(f)
-    assert np.allclose(grad.data[g.mask], 0.0)
+    assert all(np.allclose(c.values, 0.0) for c in grad.components)
 
 
 def test_gradient_parabola_central_stencil():
@@ -209,10 +210,32 @@ def test_matrix_field_checks_its_entries():
 def test_vector_map_from_values_checks_the_value_shape():
     g = build_grid(UNIT_DISK, 8)
     vals = np.arange(2.0 * g.cell_count).reshape(g.cell_count, 2)
-    assert np.array_equal(VectorMap.from_values(g, vals).data[g.mask], vals)
+    assert np.array_equal(np.stack([c.values for c in VectorMap.from_values(g, vals).components], axis=1), vals)
     for shape in [(g.cell_count,), (2,), (g.cell_count + 1, 2), (2, g.cell_count)]:
         with pytest.raises(ValueError, match=r"values must be \(masked cell count, dim\)"):
             VectorMap.from_values(g, np.zeros(shape))
+
+
+@pytest.mark.parametrize("i", [2, 5, -1])
+def test_component_index_outside_the_map(i):
+    vm = sample(build_grid(UNIT_DISK, 8), lambda p: p)
+    message = f"component {i} is not a coordinate of the 2-D map \\(0 to 1\\)"
+    with pytest.raises(ValueError, match=message):
+        vm.component(i)
+    with pytest.raises(ValueError, match=message):
+        vm.with_component(i, vm.component(0))
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+def test_ball_radius_must_be_positive(radius):
+    with pytest.raises(ValueError, match="ball radius must be positive"):
+        Ball((0.0, 0.0), radius)
+
+
+@pytest.mark.parametrize("lo", [(0.0, 1.0), (math.nan, 0.0)])
+def test_box_must_not_be_degenerate(lo):
+    with pytest.raises(ValueError, match="degenerate box"):
+        Box(lo, (1.0, 1.0))
 
 
 def test_winding_singular_values():
@@ -547,6 +570,74 @@ def test_restricted_grid_keeps_the_parent_centres_bit_for_bit():
     assert np.array_equal(sphere_trace(r, small, 300), sphere_trace(f_full, small, 300))
     pts = sphere_points(Ball(small.center, 0.21), 200)
     assert np.array_equal(interpolate(r, pts), interpolate(f_full, pts))
+
+
+# ------------------------------------------------------------- vector maps
+
+
+def test_map_components_are_the_stored_fields():
+    g = build_grid(UNIT_DISK, 16)
+    vm = sample(g, lambda p: p)
+    assert all(vm.component(i) is vm.components[i] for i in range(2))
+    x = ScalarField.from_values(g, np.ones(g.cell_count))
+    swapped = vm.with_component(1, x)
+    assert swapped.component(1) is x and swapped.component(0) is vm.component(0)  # shared, not copied
+    assert vm.component(1) is not x
+
+
+def test_map_components_must_live_on_the_map_grid():
+    g = build_grid(UNIT_DISK, 16)
+    x, y = sample(g, lambda p: p).components
+    for comps in [(x,), (x, y, x)]:
+        with pytest.raises(ValueError, match="a map on a 2-D grid needs 2 components"):
+            VectorMap(g, comps)
+    other_lattice = sample(build_grid(Ball((0.0, 0.0), 2.0), 16), lambda p: p[..., 0])
+    half = g.with_mask(g.mask & (g.centers[..., 0] < 0))
+    other_mask = ScalarField.from_values(half, np.zeros(half.cell_count))
+    for comp in (other_lattice, other_mask):
+        with pytest.raises(ValueError, match="map components must live on the map's grid"):
+            VectorMap(g, (x, comp))
+    twin = build_grid(UNIT_DISK, 16)  # an equal grid, not the same object
+    assert VectorMap(g, (x, ScalarField.from_values(twin, y.values))).component(1).grid is twin
+    vals = y.values.copy()
+    may_be_infinite = ScalarField.from_values(g, vals, allow_infinite=True)
+    assert VectorMap(g, (x, may_be_infinite)).component(1) is may_be_infinite
+    vals[3] = np.inf
+    with pytest.raises(ValueError, match="map values must be finite on the mask"):
+        VectorMap(g, (x, ScalarField.from_values(g, vals, allow_infinite=True)))
+
+
+@pytest.mark.parametrize("where", [Ball((0.1, 0.0, -0.1), 0.8), Ball((0.9, 0.9, 0.9), 0.3)], ids=["inside", "corner"])
+def test_restricted_map_components_are_the_restricted_fields(where):
+    g = build_grid(CUBE, 24)
+    vm = sample(g, lambda p: np.stack([p[..., 0] * p[..., 1], np.sin(p[..., 2]), p[..., 0] - p[..., 2]], axis=-1))
+    sub = vm.restrict(where)
+    for c, r in zip(vm.components, sub.components, strict=True):
+        alone = c.restrict(where)
+        assert r.grid is sub.grid and alone.grid.offset == sub.grid.offset
+        assert np.array_equal(alone.grid.mask, sub.grid.mask)
+        assert np.array_equal(r.data, alone.data, equal_nan=True)
+
+
+def test_map_component_and_restrict_copy_no_boxes():
+    g = build_grid(CUBE, 40)
+    vm = sample(g, lambda p: p)
+    ball = Ball((0.1, 0.0, -0.1), 0.8)
+    tracemalloc.start()
+    try:
+        for i in range(3):
+            vm.component(i)
+        component_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        sub = vm.restrict(ball)
+        restrict_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert component_peak < 1024
+    # three cropped boxes, the crop's boolean masks (up to 3 bytes a cell of the
+    # parent box) and one masked gather (values and finiteness) at a time
+    bound = 3 * 8 * sub.grid.mask.size + 3 * g.mask.size + 9 * sub.grid.cell_count
+    assert restrict_peak <= bound, f"restrict peak {restrict_peak / bound:.2f} x bound"
 
 
 @pytest.mark.parametrize("dim", [1, 4])

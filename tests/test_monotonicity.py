@@ -343,6 +343,9 @@ def test_chain_validation():
         sup_bound_chain(vms, low_k, 0, ext.boundary_max, "above")
     with pytest.raises(ValueError):
         sup_bound_chain(vms, data, 0, ext.boundary_max, "above", gamma=0.99)
+    for i in (2, -1):
+        with pytest.raises(ValueError, match=f"component {i} is not a coordinate of the 2-D map"):
+            sup_bound_chain(vms, data, i, ext.boundary_max, "above")
 
 
 def test_chain_ledger_export():

@@ -75,6 +75,8 @@ def test_epsilon_validation():
         staircase_approx(F, 0.0, 5)
     with pytest.raises(ValueError):
         staircase_approx(F, -1.0, 5)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        staircase_approx(F, math.nan, 5)
 
 
 def test_non_monotone_probe_rejected():
@@ -223,6 +225,8 @@ def test_inverse_distribution_validation():
     f2 = ScalarField.from_values(g, np.ones(g.cell_count))
     with pytest.raises(ValueError):
         staircase_approx(inverse_distribution_fn(f2, 0.0), 0.1, 5)
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        inverse_distribution_fn(f2, math.nan)
 
 
 @given(seed=st.integers(0, 500))
