@@ -10,9 +10,9 @@ outputs, the chain's CSV form, the ``--y0``, ``--band`` and ``--level``
 options, an off-centre sweep with radii down to 0.005, an off-centre
 chain, and the exit-1 paths for a file of the wrong kind, a missing
 ``--chain-ball``, an example without data, a ``--component`` outside the
-map, a non-finite or negative number and a ``--center`` of the wrong
-length), and prints one ``exit sha256 command`` line per command and per
-side file; the hash covers stdout and stderr.  It then hashes the file that
+map, a non-finite or negative number, and a ``--center`` or ``--y0`` of
+the wrong length), and prints one ``exit sha256 command`` line per command
+and per side file; the hash covers stdout and stderr.  It then hashes the file that
 ``write_field(read_field(...))`` writes for ``rl.json`` and ``cone.json``,
 and runs one pass of the ``map-3d-96`` and
 ``scalar-2d-1024`` benchmark workloads at seed 5, at ``--quick`` and at
@@ -21,9 +21,11 @@ full size, in a child process that imports this checkout's
 first on the path.  It prints one ``sha256 name`` line per operation
 report; after each ``map-3d-96`` ``verify_distortion`` report it also hashes
 the masked rows ``differential(vm).entries``, the masked values of
-``residual_defect(vm, K)`` and ``pointwise_distortion(vm)`` for that check's
-map and K, and the indices of the quotient's defined cells among the map's
-cells; after each ``scalar-2d-1024`` pass it hashes the masked values of
+``residual_defect(vm, K)``, ``pointwise_distortion(vm)`` and
+``jacobian_parts(vm)`` for that check's map and K, the indices of the
+quotient's defined cells among the map's cells, and the values of
+``zero_integral_check(vm, 0)`` and of ``weighted_zero_integral_check`` with
+the analytic weight F(t) = t; after each ``scalar-2d-1024`` pass it hashes the masked values of
 ``grad_norm`` of the workload's field.  None of these depends on the box the
 map or field lives on.
 Run it on two trees and diff the outputs: equal lines mean byte-identical
@@ -77,7 +79,7 @@ COMMANDS = [
     (["analyze", "rl.json", "--kfield", "rl.json"], []),
     (["monotonicity", "rl.json", "--chain"], []),
     (["gallery", "--export", "cone", "--resolution", "16", "--with-data", "--out", "c16.json"], ["c16.json"]),
-    # exit-1 paths: a component outside the map, non-finite or negative numbers, a --center of the wrong length
+    # exit-1 paths: a component outside the map, non-finite or negative numbers, a --center or --y0 of the wrong length
     (CHAIN + ["--component", "5"], []),
     (CHAIN + ["--component", "-1"], []),
     (["analyze", "rl.json", *RL_DATA, "--rel-tol", "nan"], []),
@@ -89,17 +91,23 @@ COMMANDS = [
     (["monotonicity", "cone.json", "--center", "nan,0", "--radii", "0.1,0.2"], []),
     (["monotonicity", "cone.json", "--center", "0,0,0", "--radii", "0.1,0.2"], []),
     (["monotonicity", "rl.json", "--chain", "--center", "0,0,0", "--chain-ball", "0.3"], []),
+    (["analyze", "rl.json", "--p", "4", "--q", "4", "--y0", "1,2,3"], []),
 ]
 
 
 # the field-file round trip, then one pass of each library workload at seed 5; argv[1] is SRC
 LIBRARY = """
-import hashlib, sys
+import hashlib, math, sys, warnings
 import numpy as np
-from distlab.distortion import pointwise_distortion, residual_defect
+from distlab.distortion import (
+    jacobian_parts, pointwise_distortion, residual_defect, weighted_zero_integral_check, zero_integral_check,
+)
+from distlab.staircase import MonotoneFn
 from distlab.fieldio import read_field, write_field
 from distlab.fields import differential, grad_norm
 from workloads import WORKLOADS
+
+IDENTITY = MonotoneFn("analytic", math.inf, fn=lambda t: t)
 
 def sha(data):
     return hashlib.sha256(data).hexdigest()
@@ -126,11 +134,16 @@ for name in ("map-3d-96", "scalar-2d-1024"):
             if op.name in checked:
                 vm, K = checked[op.name]
                 pk = pointwise_distortion(vm)
+                with warnings.catch_warnings():  # the laws' support warning is not a report
+                    warnings.simplefilter("ignore")
+                    integrals = [zero_integral_check(vm, 0), *weighted_zero_integral_check(vm, 0, IDENTITY)]
                 arrays = {
                     "differential.entries": differential(vm).entries,
                     "residual_Sigma.values": residual_defect(vm, K).values,
                     "pointwise_K.values": pk.values,
                     "pointwise_K.defined": np.flatnonzero(pk.grid.mask[vm.grid.mask]),
+                    "jacobian_parts.values": np.stack([part.values for part in jacobian_parts(vm)]),
+                    "zero_integral_checks": np.array(integrals),
                 }
                 for label, arr in arrays.items():
                     print(sha(arr.tobytes()), tag, f"{op.name} [{label}]", flush=True)

@@ -90,6 +90,13 @@ def _number(text: str) -> float:
     return x
 
 
+def _nonnegative(text: str) -> float:
+    """A finite number >= 0."""
+    if (x := _number(text)) < 0:
+        raise argparse.ArgumentTypeError(f"not a number >= 0: {text!r}")
+    return x
+
+
 def _floats(text: str) -> list[float]:
     try:
         vals = [float(x) for x in text.split(",") if x != ""]
@@ -151,7 +158,7 @@ def _build_parser() -> _Parser:
     a.add_argument("--kfield", default=None, help="scalar field file with K (default: K = 1)")
     a.add_argument("--sigmafield", default=None, help="scalar field file with Sigma (default: minimal defect)")
     a.add_argument("--y0", type=_floats, default=None, help="target point for a value-of-finite-distortion check")
-    a.add_argument("--rel-tol", type=_number, default=None)
+    a.add_argument("--rel-tol", type=_nonnegative, default=None)
     a.add_argument("--violations-out", default=None)
     common(a)
 
@@ -337,6 +344,8 @@ def _cmd_analyze(plan: CommandPlan) -> int:
     opts = plan.options
     vm = _read(opts["map"], VectorMap)
     grid = vm.grid
+    if opts["y0"] is not None and len(opts["y0"]) != grid.dim:
+        raise UsageError(f"--y0 needs {grid.dim} coordinates, got {len(opts['y0'])}")
     data = _distortion_data(opts, vm, grid)
     rep = verify_distortion(vm, data, y0=opts["y0"], rel_tol=opts["rel_tol"])
     if opts["violations_out"]:

@@ -25,13 +25,13 @@ import numpy as np
 from .fields import (
     ScalarField,
     VectorMap,
+    _cellwise,
     _det,
     _finite,
     _lives_on,
     _same_lattice,
     _smax,
     boundary_support_ok,
-    differential,
 )
 from .staircase import MonotoneFn
 
@@ -111,7 +111,7 @@ def lebesgue_norm(field: ScalarField, p: float) -> float:
 
 def jacobian_parts(vm: VectorMap) -> tuple[ScalarField, ScalarField]:
     """Positive and negative parts of the Jacobian: J = Jplus - Jminus."""
-    J = _det(differential(vm).entries)
+    J = _jacobian(vm)
     parts = (np.maximum(J, 0.0), np.maximum(-J, 0.0))
     return tuple(ScalarField.from_values(vm.grid, part, nonnegative=True) for part in parts)
 
@@ -134,11 +134,15 @@ def pointwise_distortion(vm: VectorMap) -> ScalarField:
 
 def _derivative_powers(vm: VectorMap) -> tuple[np.ndarray, np.ndarray]:
     """|Df|^n and J_f on the masked cells, from one difference derivative
-    whose box planes are freed before the closed forms run."""
-    m = differential(vm).entries
+    taken a block of cells at a time."""
+    n = vm.grid.dim
     with np.errstate(over="ignore"):  # an overflow is rejected as non-finite
-        dn = _finite(_smax(m) ** vm.grid.dim)
-    return dn, _det(m)
+        return tuple(_cellwise(vm.grid, [c.data for c in vm.components], lambda m: _finite(_smax(m) ** n), _det))
+
+
+def _jacobian(vm: VectorMap) -> np.ndarray:
+    """J_f on the masked cells, taken a block of cells at a time."""
+    return _cellwise(vm.grid, [c.data for c in vm.components], _det)[0]
 
 
 def residual_defect(vm: VectorMap, K: ScalarField) -> ScalarField:
@@ -291,7 +295,7 @@ def zero_integral_check(vm: VectorMap, i: int) -> float:
     mask boundary, in which case the law does not apply.
     """
     _warn_unless_supported(vm.component(i), i, "zero-integral")
-    return float(_det(differential(vm).entries).sum() * vm.grid.cell_volume)
+    return float(_jacobian(vm).sum() * vm.grid.cell_volume)
 
 
 def weighted_zero_integral_check(
@@ -308,7 +312,7 @@ def weighted_zero_integral_check(
     weights = F(np.abs(comp.values))
     if not np.isfinite(weights).all():
         raise ValueError("F takes the value +inf on attained values of |f_i|")
-    J = _det(differential(vm).entries)
+    J = _jacobian(vm)
     hvol = vm.grid.cell_volume
     pos = float((weights * np.maximum(J, 0.0)).sum() * hvol)
     neg = float((weights * np.maximum(-J, 0.0)).sum() * hvol)

@@ -151,13 +151,18 @@ class Grid:
     def crop(self, where: Ball | np.ndarray) -> tuple["Grid", tuple[slice, ...]]:
         """Sub-grid of a sub-domain (ball or sub-mask) on its bounding box plus
         one cell, clipped to this box, and that window into this box."""
-        mask = self.with_mask(self.ball_mask(where) if isinstance(where, Ball) else where).mask
+        mask = np.asarray(self.ball_mask(where) if isinstance(where, Ball) else where, dtype=bool)
         others = [tuple(b for b in range(self.dim) if b != a) for a in range(self.dim)]
-        idx = [np.flatnonzero(mask.any(axis=axes)) for axes in others]  # with_mask rejects an empty mask
+        idx = [np.flatnonzero(mask.any(axis=axes)) for axes in others]
+        if not idx[0].size:
+            raise ValueError("empty domain mask")
         window = tuple(slice(max(int(i[0]) - 1, 0), min(int(i[-1]) + 2, n)) for i, n in zip(idx, self.shape))
         shape = tuple(s.stop - s.start for s in window)
         offset = tuple(o + s.start for o, s in zip(self.offset, window))
-        return Grid(self.dim, shape, self.origin, self.spacing, mask[window], offset=offset), window
+        sub = mask[window].copy()  # holds every masked cell; a view would keep this box's mask alive
+        if (sub & ~self.mask[window]).any():
+            raise ValueError("new mask must be a subset of the current mask")
+        return Grid(self.dim, shape, self.origin, self.spacing, sub, offset=offset), window
 
     def ball_mask(self, ball: Ball) -> np.ndarray:
         """Masked cells whose center lies in the open ball.  d2 adds nonnegative
@@ -380,59 +385,77 @@ def sample(grid: Grid, evaluator: Callable) -> ScalarField | VectorMap:
     return (ScalarField if out.ndim == 1 else VectorMap).from_values(grid, out)
 
 
-def _axis_derivative(grid: Grid, comps: Sequence[np.ndarray], axis: int, planes: np.ndarray) -> None:
-    """Write d comps[k] / dx_axis into the flat ``planes[k]`` on the masked cells
-    only: central difference where both neighbors are masked, one-sided at the
-    mask boundary; exact on affine inputs either way.  A neighbor is ``s`` flat
-    entries away; a step that wraps a row lands where the stencil mask is False."""
-    h = grid.spacing
-    mask = grid.mask
-    has_lo = _shift(mask, axis, +1)
-    has_hi = _shift(mask, axis, -1)
-    if (mask & ~has_lo & ~has_hi).any():
-        raise ValueError(f"isolated masked cell along axis {axis}: no neighbor for differences")
-    s = math.prod(grid.shape[axis + 1 :])
-    both = (mask & has_lo & has_hi).ravel()[s:-s]
-    only_hi = (mask & ~has_lo).ravel()[:-s]  # no cell is isolated, so these have the other neighbor
-    only_lo = (mask & ~has_hi).ravel()[s:]
-    # off-mask entries are never kept; an overflow is rejected as non-finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        for f, plane in zip(comps, planes):
-            mid = plane[s:-s]
-            np.subtract(f[2 * s :], f[: -2 * s], out=mid, where=both)
-            np.divide(mid, 2 * h, out=mid, where=both)
-            step = f[s:] - f[:-s]
-            np.divide(step, h, out=plane[:-s], where=only_hi)
-            np.divide(step, h, out=plane[s:], where=only_lo)
-            del step  # else the next component's step is built while this one is alive
+_BLOCK = 16384  # flat box cells per derivative block: its buffers stay in cache
 
 
-def _derivative(grid: Grid, comps: Sequence[np.ndarray]) -> np.ndarray:
-    """Difference derivative on the masked cells: ``out[i, j]`` is the
-    contiguous row of d comps[i] / dx_j, in row-major cell order."""
-    flat = [np.ravel(f) for f in comps]  # copies a component that is not C-contiguous
-    planes = np.empty((len(comps), grid.dim, grid.mask.size))  # only masked entries are written and kept
+def _derivative_blocks(grid: Grid, comps: Sequence[np.ndarray]):
+    """Difference derivative on the masked cells, one block of ``_BLOCK``
+    flat box cells at a time: yields ``(j0, j1, m)``, where ``m[i, j]`` holds
+    d comps[i] / dx_j on masked cells ``j0:j1`` in row-major cell order.
+    Central difference where both neighbors are masked, one-sided at the mask
+    boundary; exact on affine inputs either way.  A neighbor is ``s`` flat
+    entries away; a central step that wraps a row lands on a cell that is not
+    kept or that a one-sided difference overwrites."""
+    h, mask, n = grid.spacing, grid.mask, grid.mask.size
+    stencils = []
     for a in range(grid.dim):
-        _axis_derivative(grid, flat, a, planes[:, a])
-    del flat  # the copies must not stay alive next to the planes and the rows
-    return np.compress(grid.mask.ravel(), planes, axis=2)
+        has_lo = _shift(mask, a, +1)
+        has_hi = _shift(mask, a, -1)
+        if (mask & ~has_lo & ~has_hi).any():
+            raise ValueError(f"isolated masked cell along axis {a}: no neighbor for differences")
+        # flat indices of the one-sided cells; each has the other neighbor
+        stencils.append((math.prod(grid.shape[a + 1 :]), np.flatnonzero(mask & ~has_lo), np.flatnonzero(mask & ~has_hi)))
+    flat = [np.ravel(f) for f in comps]  # copies a component that is not C-contiguous
+    keep = mask.ravel()
+    buf = np.empty((len(comps), grid.dim, min(_BLOCK, n)))  # one block of stencils, reused for every block
+    j0 = 0
+    for b0 in range(0, n, _BLOCK):
+        b1 = min(b0 + _BLOCK, n)
+        # off-mask entries are never kept; an overflow is rejected as non-finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, (s, fwd, bwd) in enumerate(stencils):
+                lo, hi = max(b0, s), max(b0, s, min(b1, n - s))  # the cells with both neighbors in the box
+                fw, bw = (c[np.searchsorted(c, b0) : np.searchsorted(c, b1)] for c in (fwd, bwd))
+                for f, o in zip(flat, buf[:, a]):
+                    central = o[lo - b0 : hi - b0]
+                    np.subtract(f[lo + s : hi + s], f[lo - s : hi - s], out=central)
+                    np.divide(central, 2 * h, out=central)
+                    o[fw - b0] = (f[fw + s] - f[fw]) / h
+                    o[bw - b0] = (f[bw] - f[bw - s]) / h
+        m = np.compress(keep[b0:b1], buf[..., : b1 - b0], axis=2)
+        yield j0, j0 + m.shape[2], m
+        j0 += m.shape[2]
+
+
+def _cellwise(grid: Grid, comps: Sequence[np.ndarray], *fns: Callable) -> list[np.ndarray]:
+    """``fn(m)`` for each ``fn`` on the masked cells, taken block by block from
+    :func:`_derivative_blocks`; each ``fn`` acts cell by cell along the last
+    axis, and its output's last axis runs over the cells in row-major order."""
+    outs = []
+    for j0, j1, m in _derivative_blocks(grid, comps):
+        for k, fn in enumerate(fns):
+            vals = fn(m)
+            if k == len(outs):
+                outs.append(np.empty(vals.shape[:-1] + (grid.cell_count,)))
+            outs[k][..., j0:j1] = vals
+    return outs
 
 
 def gradient(field: ScalarField) -> VectorMap:
     """Finite-difference gradient (surrogate for the weak gradient)."""
-    return VectorMap.from_values(field.grid, _derivative(field.grid, [field.data])[0].T)
+    return VectorMap.from_values(field.grid, _cellwise(field.grid, [field.data], lambda m: m[0])[0].T)
 
 
 def differential(vm: VectorMap) -> MatrixField:
     """Row-wise finite-difference derivative matrix: D[i][j] = d f_i / d x_j."""
-    return MatrixField(vm.grid, _derivative(vm.grid, [c.data for c in vm.components]))
+    return MatrixField(vm.grid, _cellwise(vm.grid, [c.data for c in vm.components], lambda m: m)[0])
 
 
 def grad_norm(field: ScalarField) -> ScalarField:
     """Euclidean norm of the finite-difference gradient."""
-    rows = _derivative(field.grid, [field.data])[0]
     with np.errstate(over="ignore"):  # an overflow is rejected as non-finite
-        return ScalarField.from_values(field.grid, np.sqrt(sum(p * p for p in rows)), nonnegative=True)
+        (norm,) = _cellwise(field.grid, [field.data], lambda m: np.sqrt(sum(p * p for p in m[0])))
+    return ScalarField.from_values(field.grid, norm, nonnegative=True)
 
 
 def _sym3_eig_max(a11, a22, a33, a12, a13, a23):

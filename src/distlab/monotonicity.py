@@ -24,10 +24,10 @@ from .fields import (
     Ball,
     ScalarField,
     VectorMap,
+    _cellwise,
     _det,
     _evaluate,
     boundary_support_ok,
-    differential,
     sphere_points,
     sphere_trace,
     truncate,
@@ -307,10 +307,9 @@ def sup_bound_chain(
         # So |grad phi| is the norm of row i of D f there, and g = f with f_i
         # replaced by +-phi (the sign of f_i - level) has J_g = J_f there: one
         # derivative of f, and no difference taken across the kink of phi
-        Df = differential(vm).entries
+        vals = _cellwise(grid, [c.data for c in vm.components], lambda D: np.sqrt((D[i] ** 2).sum(axis=0)), _det)
         support = phi.values > 0
-        gn = np.where(support, np.sqrt((Df[i] ** 2).sum(axis=0)), 0.0)
-        Jg = np.where(support, _det(Df), 0.0)
+        gn, Jg = (np.where(support, v, 0.0) for v in vals)
 
         hvol = grid.cell_volume
         mu_of = upper_distribution(phi).mu_plus(phi.values)

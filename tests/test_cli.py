@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from distlab import cli, distortion, monotonicity
+from distlab import cli, fields, monotonicity
 from distlab.cli import CommandPlan, UsageError, execute, main, parse_command
 from distlab.fieldio import read_field, write_field
 from distlab.fields import Ball, Box, ScalarField, build_grid, sample
@@ -151,8 +151,7 @@ def _refuse_derivatives(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("derivative work started before the companion grid check")
 
-    for module in (distortion, monotonicity):
-        monkeypatch.setattr(module, "differential", refuse)
+    monkeypatch.setattr(fields, "_derivative_blocks", refuse)
 
 
 @pytest.mark.parametrize("flag", ["--kfield", "--sigmafield"])
@@ -494,7 +493,7 @@ def test_chain_component_outside_the_map(tmp_path, capsys, component):
         (["analyze", "{map}", "--kfield", "{k}", "--sigmafield", "{sigma}", "--p", "4", "--q", "4", "--rel-tol", "nan"],
          "argument --rel-tol: not a finite number: 'nan'"),
         (["analyze", "{map}", "--rel-tol", "inf"], "argument --rel-tol: not a finite number: 'inf'"),
-        (["analyze", "{map}", "--rel-tol", "-1"], "rel_tol must be a finite number >= 0, got -1.0"),
+        (["analyze", "{map}", "--rel-tol", "-1"], "argument --rel-tol: not a number >= 0: '-1'"),
         (["analyze", "{map}", "--p", "4", "--q", "4", "--y0", "nan,0"], "expected finite numbers, got 'nan,0'"),
         (["analyze", "{map}", "--y0", "0,-inf"], "expected finite numbers, got '0,-inf'"),
         (["analyze", "{map}", "--p", "nan", "--q", "4"], "expected a number or 'inf', got 'nan'"),
@@ -523,6 +522,25 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys, argv, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning before the message
         _fails_with([a.format(**names) for a in argv], capsys, message)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--rel-tol", "-1"], "argument --rel-tol: not a number >= 0: '-1'"),
+        (["--p", "4", "--q", "4", "--rel-tol", "-0.5"], "argument --rel-tol: not a number >= 0: '-0.5'"),
+        (["--y0", "1,2,3"], "--y0 needs 2 coordinates, got 3"),
+        (["--y0", "1"], "--y0 needs 2 coordinates, got 1"),
+        (["--kfield", "{k}", "--p", "4", "--q", "4", "--y0", "0,0,0"], "--y0 needs 2 coordinates, got 3"),
+    ],
+    ids=["rel-tol-negative", "rel-tol-negative-with-exponents", "y0-3-for-2", "y0-1-for-2", "y0-with-kfield"],
+)
+def test_analyze_options_rejected_before_derivative_work(tmp_path, capsys, monkeypatch, argv, message):
+    # the message names the option, and no derivative of the map is taken first
+    _, rl = _scalar_and_map(tmp_path, capsys)
+    _refuse_derivatives(monkeypatch)
+    k = rl[: -len(".json")] + ".k.json"
+    _fails_with(["analyze", rl, *(a.format(k=k) for a in argv)], capsys, message)
 
 
 def test_exponents_still_take_inf(tmp_path, capsys):

@@ -11,6 +11,7 @@ verify_distortion.  ``grad_norm`` is also checked against its earlier
 form, the norm of a gradient ``VectorMap``.
 """
 
+import math
 import tracemalloc
 import warnings
 
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from distlab import fields, monotonicity
 from distlab.fields import (
     Ball,
     Box,
@@ -31,9 +33,11 @@ from distlab.fields import (
     gradient,
     jacobian,
     op_norm,
+    sample,
 )
 from distlab.distortion import (
     DistortionData,
+    _derivative_powers,
     jacobian_parts,
     pointwise_distortion,
     residual_defect,
@@ -330,14 +334,86 @@ def test_closed_forms_run_after_the_box_planes_are_freed():
 
 
 def test_differential_frees_the_component_copies_before_the_gather():
-    # the strided components are copied flat for the stencils; the copies
-    # must be gone when the masked rows are gathered out of the box planes
+    # the strided components are copied flat for the stencils; next to them
+    # and the masked rows, differential holds only the stencils and two
+    # derivative blocks (the buffer and one gathered block), never box planes
     grid = build_grid(Ball((0.0, 0.0, 0.0), 1.0), 32)
     vm = _map(grid, np.random.default_rng(7).normal(size=grid.shape + (3,)))
     assert not vm.component(0).data.flags["C_CONTIGUOUS"]
-    planes, rows = 9 * 8 * grid.mask.size, 9 * 8 * grid.cell_count
+    rows, copies = 9 * 8 * grid.cell_count, 3 * 8 * grid.mask.size
+    block = min(fields._BLOCK, grid.mask.size)
+    blocks = 2 * 9 * 8 * block + 8 * block  # and the gather's indices
+    stencils = 8 * 2 * 3 * int(grid.boundary_adjacent.sum())  # one-sided cell indices, at most
+    bound = rows + copies + blocks + stencils
     peak = _traced_peak(lambda: differential(vm))
-    assert peak <= 1.05 * (planes + rows), f"peak {peak / (planes + rows):.3f} x (box planes + masked rows)"
+    assert peak <= 1.05 * bound, f"peak {peak / bound:.3f} x (masked rows + copies + two blocks + stencils)"
+
+
+def test_residual_defect_never_holds_the_masked_rows():
+    # the closed forms take each block of the derivative as it comes: the
+    # whole residual_defect peaks below the size of the masked rows alone
+    # (at 64^3 the rows are 9.9 MB; the fixed blocks and their closed-form
+    # temporaries are about 3 MB, so a coarser grid would not tell them apart)
+    vm = sample(build_grid(Ball((0.0, 0.0, 0.0), 1.0), 64), lambda p: p + 0.3 * np.sin(3.0 * p[..., ::-1]))
+    K = ScalarField.from_values(vm.grid, np.full(vm.grid.cell_count, 2.0), nonnegative=True)
+    rows = differential(vm).entries.nbytes
+    peak = _traced_peak(lambda: residual_defect(vm, K))
+    assert peak < rows, f"residual_defect peak {peak / rows:.3f} x the masked rows"
+
+
+def _block_case(dim, layout):
+    """A map on an off-centre ball cut by the box (one-sided cells at the box
+    faces and the curved boundary, on both sides of each axis), NaN off the
+    mask, with C-contiguous, Fortran-ordered or strided components."""
+    grid = build_grid(Box((-1.0,) * dim, (1.0,) * dim), 12 if dim == 2 else 10)
+    sub = grid.crop(grid.ball_mask(Ball((0.4, -0.3, 0.2)[:dim], 0.9)))[0]
+    rng = np.random.default_rng(dim)
+    data = np.where(sub.mask[..., None], rng.normal(size=sub.shape + (dim,)), np.nan)
+    if layout == "C":
+        data = np.moveaxis(np.moveaxis(data, -1, 0).copy(), 0, -1)
+    elif layout == "F":
+        data = np.asfortranarray(data)
+    return _map(sub, data)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_block_loop_matches_reference_at_every_block_size(monkeypatch, dim, layout):
+    vm = _block_case(dim, layout)
+    grid = vm.grid
+    mask = grid.mask
+    ref_D = _ref_differential(vm)
+    ref_rows = np.moveaxis(ref_D[mask], 0, -1)
+    J = _ref_jacobian(grid, ref_D)[mask]
+    dn = (_ref_op_norm(grid, ref_D) ** dim)[mask]
+    gn = np.sqrt(sum(ref_D[..., 0, j] ** 2 for j in range(dim)))[mask]
+    K = ScalarField.from_values(grid, np.full(grid.cell_count, 2.0), nonnegative=True)
+    data = DistortionData(K, residual_defect(vm, K), 4.0, 4.0)
+    level = float(np.median(vm.component(0).values))
+
+    chain = []
+
+    def recording(*args, _fn=fields._cellwise):
+        chain.append(_fn(*args))
+        return chain[-1]
+
+    monkeypatch.setattr(monotonicity, "_cellwise", recording)
+    stride = math.prod(grid.shape[1:])
+    first = int(np.flatnonzero(mask)[0])  # a block edge inside the first masked row
+    for block in (1, 7, stride - 1, stride + 1, first + 2):
+        monkeypatch.setattr(fields, "_BLOCK", block)
+        assert np.array_equal(differential(vm).entries, ref_rows)
+        for c in vm.components:
+            assert _same(grad_norm(c).data, _ref_grad_norm(grid, c.data))
+        powers = _derivative_powers(vm)
+        assert np.array_equal(powers[0], dn) and np.array_equal(powers[1], J)
+        jplus, jminus = jacobian_parts(vm)
+        assert np.array_equal(jplus.values, np.maximum(J, 0.0))
+        assert np.array_equal(jminus.values, np.maximum(-J, 0.0))
+        chain.clear()
+        assert not monotonicity.sup_bound_chain(vm, data, 0, level, "above").trivial
+        assert len(chain) == 1
+        assert np.array_equal(chain[0][0], gn) and np.array_equal(chain[0][1], J)
 
 
 def _huge_map(dim, scale, noise):

@@ -79,7 +79,7 @@ def test_distortion_data_on_another_grid_rejected(check, where, monkeypatch):
         "uncropped": g.with_mask(_left_half(g)),  # the same cells on the full box
     }[where]
     derivatives = []
-    monkeypatch.setattr(fields, "_derivative", lambda *a: derivatives.append(a))
+    monkeypatch.setattr(fields, "_derivative_blocks", lambda *a: derivatives.append(a))
     with pytest.raises(ValueError, match="map's grid"):
         check(vm, _data_on(other))
     assert derivatives == []  # rejected before any derivative work
@@ -241,16 +241,16 @@ def test_residual_then_verify_is_exact(seed):
 
 def test_one_derivative_pass_per_call(monkeypatch):
     # residual_defect and verify_distortion each take D, |Df|^n and J_f
-    # from a single differential and one evaluation of each closed form
-    # on its masked entries
+    # from a single derivative pass and, on this one-block grid, one
+    # evaluation of each closed form on its masked entries
     calls = {}
-    for name in ("differential", "_smax", "_det"):
+    for module, name in ((fields, "_derivative_blocks"), (distortion, "_smax"), (distortion, "_det")):
 
-        def counted(*args, _fn=getattr(distortion, name), _name=name, **kw):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kw):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kw)
 
-        monkeypatch.setattr(distortion, name, counted)
+        monkeypatch.setattr(module, name, counted)
     g = build_grid(CENTERED, 16)
     vm = sample(g, lambda p: p @ np.array([[2.0, 0.5], [0.1, 1.0]]).T)
     K = const_field(g, 2.0)
@@ -258,7 +258,7 @@ def test_one_derivative_pass_per_call(monkeypatch):
     for call in (lambda: residual_defect(vm, K), lambda: verify_distortion(vm, data)):
         calls.clear()
         call()
-        assert calls == {"differential": 1, "_smax": 1, "_det": 1}
+        assert calls == {"_derivative_blocks": 1, "_smax": 1, "_det": 1}
 
 
 # --------------------------------------------------------- verify_distortion

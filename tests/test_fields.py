@@ -640,6 +640,36 @@ def test_map_component_and_restrict_copy_no_boxes():
     assert restrict_peak <= bound, f"restrict peak {restrict_peak / bound:.2f} x bound"
 
 
+def test_crop_keeps_only_the_cropped_mask():
+    # the sub-grid owns a contiguous copy of its window of the mask, so it does
+    # not keep the parent box's mask alive, and the subset check runs on the
+    # window: restrict builds no full-box mask but the ball's own
+    g = build_grid(CUBE, 40)
+    vm = sample(g, lambda p: p)
+    ball = Ball((0.1, -0.05, 0.0), 0.5)
+    sub = vm.restrict(ball)
+    assert sub.grid.mask.base is None and sub.grid.mask.flags["C_CONTIGUOUS"]
+    tracemalloc.start()
+    try:
+        vm.restrict(ball)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # three cropped boxes, the ball's full-box mask, the cropped mask and one
+    # temporary on the window
+    window = sub.grid.mask.size
+    bound = 1.05 * (3 * 8 * window + g.mask.size + 2 * window)
+    assert peak <= bound, f"restrict peak {peak / bound:.2f} x bound"
+
+
+def test_crop_rejects_an_empty_or_foreign_mask():
+    g = build_grid(UNIT_DISK, 16)
+    with pytest.raises(ValueError, match="empty domain mask"):
+        g.crop(np.zeros(g.shape, dtype=bool))
+    with pytest.raises(ValueError, match="new mask must be a subset of the current mask"):
+        g.crop(~g.mask)
+
+
 @pytest.mark.parametrize("dim", [1, 4])
 def test_sphere_points_need_a_2d_or_3d_ball(dim):
     with pytest.raises(ValueError, match="sphere points need a 2-D or 3-D ball"):

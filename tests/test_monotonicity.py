@@ -302,12 +302,12 @@ def test_chain_takes_one_derivative_pass(monkeypatch):
     # |grad phi| and J_g both come from D f by the chain rule
     passes = []
 
-    def counted(grid, comps, _fn=fields._derivative):
+    def counted(grid, comps, _fn=fields._derivative_blocks):
         passes.append(len(comps))
         return _fn(grid, comps)
 
     vms, data, ext = chain_setup(res=128)
-    monkeypatch.setattr(fields, "_derivative", counted)
+    monkeypatch.setattr(fields, "_derivative_blocks", counted)
     for mode in ("above", "below"):
         passes.clear()
         led = sup_bound_chain(vms, data, 0, ext.boundary_max, mode)
