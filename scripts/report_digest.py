@@ -11,7 +11,10 @@ options, an off-centre sweep with radii down to 0.005, an off-centre
 chain, and the exit-1 paths for a file of the wrong kind, a missing
 ``--chain-ball``, an example without data, a ``--component`` outside the
 map, a non-finite or negative number, and a ``--center`` or ``--y0`` of
-the wrong length), and prints one ``exit sha256 command`` line per command
+the wrong length, an unknown ``--params`` name, an option that is wrong on
+its own with a missing file, and ``cone.json`` with a geometry key of the
+wrong JSON type; plus ``sobolev rl.k.json``, whose support warning exits
+2), and prints one ``exit sha256 command`` line per command
 and per side file; the hash covers stdout and stderr.  It then hashes the file that
 ``write_field(read_field(...))`` writes for ``rl.json`` and ``cone.json``,
 and runs one pass of the ``map-3d-96`` and
@@ -33,6 +36,7 @@ reports.
 """
 
 import hashlib
+import json
 import os
 import pathlib
 import subprocess
@@ -92,7 +96,21 @@ COMMANDS = [
     (["monotonicity", "cone.json", "--center", "0,0,0", "--radii", "0.1,0.2"], []),
     (["monotonicity", "rl.json", "--chain", "--center", "0,0,0", "--chain-ball", "0.3"], []),
     (["analyze", "rl.json", "--p", "4", "--q", "4", "--y0", "1,2,3"], []),
+    # a field visibly nonzero on its mask boundary: support_warning, exit 2
+    (["sobolev", "rl.k.json"], []),
+    # exit-1 paths: an unknown --params name
+    (["gallery", "--export", "winding", "--params", "K=3", "--out", "w.json"], ["w.json"]),
+    (["modulus", "--example", "radial_power", "--params", "alpha=3", "--radii", "0.1,0.2,0.3"], []),
+    # exit-1 paths: options wrong on their own, named before the (missing) file is read
+    (["monotonicity", "missing.json", "--chain", "--center", "0,0"], []),
+    (["monotonicity", "missing.json", "--center", "0,0"], []),
+    (["sobolev", "missing.json", "--check", "band"], []),
+    (["distribution", "missing.json", "--gammas", "0.5,1.5"], []),
+    (["distribution", "missing.json", "--powers", "1,-2"], []),
 ]
+
+# exit-1 paths: cone.json with one geometry key of the wrong JSON type
+GEOMETRY = [("shape", [256.7, 256.2]), ("dim", 2.9), ("shape", ["256", "256"]), ("spacing", "0.0078125")]
 
 
 # the field-file round trip, then one pass of each library workload at seed 5; argv[1] is SRC
@@ -178,6 +196,13 @@ def main(argv: list[str]) -> int:
                 path = pathlib.Path(work, name)
                 digest = _sha(path.read_bytes()) if path.exists() else "missing"
                 print(proc.returncode, digest, f"{shown} [{name}]", flush=True)
+        for i, (key, value) in enumerate(GEOMETRY):
+            doc = json.loads(pathlib.Path(work, "cone.json").read_text())
+            pathlib.Path(work, f"geometry{i}.json").write_text(json.dumps({**doc, key: value}))
+            argv = [sys.executable, "-m", "distlab.cli", "sobolev", f"geometry{i}.json"]
+            proc = subprocess.run(argv, cwd=work, env=env, capture_output=True)
+            shown = f"distlab sobolev geometry{i}.json (cone.json with {key} {json.dumps(value)})"
+            print(proc.returncode, _sha(proc.stdout + proc.stderr), shown, flush=True)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(PERFBENCH)]), PYTHONDONTWRITEBYTECODE="1")
         proc = subprocess.run([sys.executable, "-c", LIBRARY, src], cwd=work, env=env, text=True, capture_output=True)
         print(proc.stdout, end="", flush=True)

@@ -237,6 +237,20 @@ def parse_command(argv: list[str]) -> CommandPlan:
         raise UsageError("modulus needs exactly one of a map file or --example NAME")
     if sub == "monotonicity" and fmt == "csv" and not opts["chain"]:
         raise UsageError("--format csv needs --chain; the defect sweep prints JSON only")
+    if sub == "monotonicity" and opts["chain"] and opts["chain_ball"] is None:
+        raise UsageError("--chain needs --chain-ball R")
+    if sub == "monotonicity" and not opts["chain"] and opts["radii"] is None:
+        raise UsageError("the defect sweep needs --radii a,b,c")
+    if sub == "sobolev":
+        band = opts["check"] == "band" or (opts["check"] == "all" and opts["band"] is not None)
+        if band and (opts["band"] is None or len(opts["band"]) != 2):
+            raise UsageError("band check needs --band A,B")
+        opts["band"] = opts["band"] if band else None  # None: no band check
+    if sub == "distribution":
+        if bad := [gamma for gamma in opts["gammas"] if not 0 < gamma < 1]:
+            raise UsageError(f"--gammas entries must lie in (0, 1), got {bad[0]}")
+        if bad := [r for r in opts["powers"] if r <= 0]:
+            raise UsageError(f"--powers entries must be positive, got {bad[0]}")
     return CommandPlan(sub, opts, out, fmt)
 
 
@@ -363,9 +377,7 @@ def _cmd_sobolev(plan: CommandPlan) -> int:
     opts = plan.options
     field = _read(opts["field"], ScalarField)
     which = opts["check"]
-    band = which == "band" or (which == "all" and opts["band"] is not None)
-    if band and (opts["band"] is None or len(opts["band"]) != 2):
-        raise UsageError("band check needs --band A,B")
+    band = opts["band"] is not None
     if band or which in ("superlevel", "all"):
         _require_nonnegative(field, opts["field"])
     reports = []
@@ -402,15 +414,11 @@ def _cmd_distribution(plan: CommandPlan) -> int:
 
     neg = []
     for gamma in opts["gammas"]:
-        if not 0 < gamma < 1:
-            raise UsageError(f"--gammas entries must lie in (0, 1), got {gamma}")
         up = neg_power_integral(field, gamma, "upper")
         lo = neg_power_integral(field, gamma, "lower")
         neg.append({"gamma": gamma, "upper": up.as_dict(), "lower": lo.as_dict()})
     pos = []
     for r in opts["powers"]:
-        if r <= 0:
-            raise UsageError(f"--powers entries must be positive, got {r}")
         up = pos_power_integral(field, r, "upper")
         lo = pos_power_integral(field, r, "lower")
         pos.append({"r": r, "upper": up.as_dict(), "lower": lo.as_dict()})
@@ -499,8 +507,6 @@ def _cmd_monotonicity(plan: CommandPlan) -> int:
     center = _center(opts, [grid.origin[a] + grid.shape[a] * grid.spacing / 2 for a in range(grid.dim)])
 
     if opts["chain"]:
-        if opts["chain_ball"] is None:
-            raise UsageError("--chain needs --chain-ball R")
         ball = Ball(center, opts["chain_ball"])
         comp = obj.component(opts["component"])
         ext = ball_extrema(comp, ball, opts["samples"])
@@ -524,8 +530,6 @@ def _cmd_monotonicity(plan: CommandPlan) -> int:
         excused = ("a_superlevel", "c_energy_bound", "d_final_bound") if ledger.support_warning else ()
         return 2 if any(not c.holds and c.name not in excused for c in ledger.checks) else 0
 
-    if opts["radii"] is None:
-        raise UsageError("the defect sweep needs --radii a,b,c")
     radii = sorted(opts["radii"])
     defects = [
         {"r": r, "defect": awm_defect(obj, Ball(center, r), opts["samples"])} for r in radii

@@ -82,14 +82,29 @@ def _payload(doc: dict, shape: tuple[int, ...]) -> dict:
     return payload
 
 
+def _number(value, key: str, integer: bool = False):
+    """A JSON integer (``integer``) or finite number; bools, strings and, where
+    an integer is due, fractions are rejected naming ``key``."""
+    number = not isinstance(value, bool) and isinstance(value, int if integer else (int, float))
+    if not (number and (integer or -_FLOAT_MAX <= value <= _FLOAT_MAX)):
+        raise FieldFormatError(f"geometry key {key!r}: {value!r} is not {'an integer' if integer else 'a finite number'}")
+    return value if integer else float(value)
+
+
+def _numbers(value, key: str, integer: bool = False) -> tuple:
+    if not isinstance(value, list):
+        raise FieldFormatError(f"geometry key {key!r}: {value!r} is not a list")
+    return tuple(_number(v, key, integer) for v in value)
+
+
 def _rebuild_grid(doc: dict) -> tuple[Grid, dict]:
     try:
-        dim = int(doc["dim"])
-        shape = tuple(int(s) for s in doc["shape"])
-        origin = tuple(float(x) for x in doc["origin"])
-        spacing = float(doc["spacing"])
+        dim = _number(doc["dim"], "dim", integer=True)
+        shape = _numbers(doc["shape"], "shape", integer=True)
+        origin = _numbers(doc["origin"], "origin")
+        spacing = _number(doc["spacing"], "spacing")
         domain = doc["domain"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except KeyError as exc:
         raise FieldFormatError(f"missing or malformed geometry key: {exc}") from exc
     if len(shape) != dim or len(origin) != dim:
         raise FieldFormatError("shape/origin length does not match dim")
@@ -99,8 +114,10 @@ def _rebuild_grid(doc: dict) -> tuple[Grid, dict]:
     elif isinstance(domain, dict) and "ball" in domain:
         ball = domain["ball"]
         try:
-            dom = Ball(tuple(float(c) for c in ball["center"]), float(ball["radius"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            dom = Ball(_numbers(ball["center"], "center"), _number(ball["radius"], "radius"))
+        except FieldFormatError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise FieldFormatError("malformed ball domain") from exc
     else:
         raise FieldFormatError(f"unknown domain descriptor {domain!r}")

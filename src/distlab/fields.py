@@ -117,7 +117,7 @@ class Grid:
     def cell_volume(self) -> float:
         return self.spacing**self.dim
 
-    @cached_property
+    @property
     def centers(self) -> np.ndarray:
         """Cell centers over the full box, shape ``shape + (dim,)``."""
         return np.stack(np.meshgrid(*map(self._axis_coords, range(self.dim)), indexing="ij"), axis=-1)
@@ -126,20 +126,29 @@ class Grid:
         """Cell-center coordinates along axis ``a``, bit for bit those of the uncropped lattice."""
         return self.origin[a] + (np.arange(self.shape[a]) + self.offset[a] + 0.5) * self.spacing
 
-    @cached_property
+    @property
     def masked_centers(self) -> np.ndarray:
-        """Centers of masked cells, shape ``(cell_count, dim)``."""
-        return self.centers[self.mask]
+        """Centers of masked cells, shape ``(cell_count, dim)``, gathered one
+        axis at a time (the values of ``centers[mask]``, without the box)."""
+        out = np.empty((self.cell_count, self.dim))
+        for a in range(self.dim):
+            coords = self._axis_coords(a).reshape((-1,) + (1,) * (self.dim - 1 - a))
+            out[:, a] = np.broadcast_to(coords, self.shape)[self.mask]
+        return out
 
     @cached_property
-    def boundary_adjacent(self) -> np.ndarray:
-        """Masked cells missing a masked neighbor along some axis."""
-        out = np.zeros(self.shape, dtype=bool)
+    def stencils(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+        """Per axis ``(stride, no_lo, no_hi)``: the flat stride and the sorted flat
+        indices of the masked cells with no masked neighbor below and with none
+        above, where differences are one-sided; together, the boundary-adjacent cells."""
+        out = []
         for a in range(self.dim):
-            has_lo = _shift(self.mask, a, +1)
-            has_hi = _shift(self.mask, a, -1)
-            out |= self.mask & ~(has_lo & has_hi)
-        return out
+            lo, hi = (slice(None),) * a + (slice(1, None),), (slice(None),) * a + (slice(None, -1),)
+            no_lo, no_hi = self.mask.copy(), self.mask.copy()
+            no_lo[lo] &= ~self.mask[hi]
+            no_hi[hi] &= ~self.mask[lo]
+            out.append((math.prod(self.shape[a + 1 :]), np.flatnonzero(no_lo), np.flatnonzero(no_hi)))
+        return tuple(out)
 
     def with_mask(self, new_mask: np.ndarray) -> "Grid":
         """Same lattice restricted to a sub-mask (drops the domain tag)."""
@@ -191,21 +200,6 @@ def _same_lattice(a: Grid, b: Grid) -> bool:
 def _lives_on(field: "ScalarField", grid: Grid) -> bool:
     """The field's grid is ``grid``, or has the same lattice and mask."""
     return field.grid is grid or (_same_lattice(field.grid, grid) and np.array_equal(field.grid.mask, grid.mask))
-
-
-def _shift(arr: np.ndarray, axis: int, by: int) -> np.ndarray:
-    """Shift with zero/False fill (no wrap-around)."""
-    out = np.zeros_like(arr)
-    src = [slice(None)] * arr.ndim
-    dst = [slice(None)] * arr.ndim
-    if by > 0:
-        src[axis] = slice(0, arr.shape[axis] - by)
-        dst[axis] = slice(by, None)
-    else:
-        src[axis] = slice(-by, None)
-        dst[axis] = slice(0, arr.shape[axis] + by)
-    out[tuple(dst)] = arr[tuple(src)]
-    return out
 
 
 def build_grid(domain: Box | Ball, resolution: int | Sequence[int]) -> Grid:
@@ -396,17 +390,12 @@ def _derivative_blocks(grid: Grid, comps: Sequence[np.ndarray]):
     boundary; exact on affine inputs either way.  A neighbor is ``s`` flat
     entries away; a central step that wraps a row lands on a cell that is not
     kept or that a one-sided difference overwrites."""
-    h, mask, n = grid.spacing, grid.mask, grid.mask.size
-    stencils = []
-    for a in range(grid.dim):
-        has_lo = _shift(mask, a, +1)
-        has_hi = _shift(mask, a, -1)
-        if (mask & ~has_lo & ~has_hi).any():
+    h, n, stencils = grid.spacing, grid.mask.size, grid.stencils
+    for a, (_, fwd, bwd) in enumerate(stencils):
+        if np.intersect1d(fwd, bwd, assume_unique=True).size:  # each one-sided cell needs its other neighbor
             raise ValueError(f"isolated masked cell along axis {a}: no neighbor for differences")
-        # flat indices of the one-sided cells; each has the other neighbor
-        stencils.append((math.prod(grid.shape[a + 1 :]), np.flatnonzero(mask & ~has_lo), np.flatnonzero(mask & ~has_hi)))
     flat = [np.ravel(f) for f in comps]  # copies a component that is not C-contiguous
-    keep = mask.ravel()
+    keep = grid.mask.ravel()
     buf = np.empty((len(comps), grid.dim, min(_BLOCK, n)))  # one block of stencils, reused for every block
     j0 = 0
     for b0 in range(0, n, _BLOCK):
@@ -587,13 +576,14 @@ def sphere_points(ball: Ball, samples: int) -> np.ndarray:
 
 
 def boundary_support_ok(field: ScalarField) -> bool:
-    """Grid surrogate for compact support: every boundary-adjacent cell
-    value is below 1e-9 times the max magnitude."""
+    """Grid surrogate for compact support: every boundary-adjacent cell (the
+    one-sided cells of :attr:`Grid.stencils`) is below 1e-9 times the max magnitude."""
     vals = np.abs(field.values)
     vmax = float(vals.max(initial=0.0))
     if vmax == 0.0:
         return True
-    edge = np.abs(field.data[field.grid.boundary_adjacent])
+    cells = np.concatenate([c for _, no_lo, no_hi in field.grid.stencils for c in (no_lo, no_hi)])
+    edge = np.abs(field.data.ravel()[cells])
     return not bool((edge >= 1e-9 * vmax).any())
 
 

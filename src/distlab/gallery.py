@@ -35,7 +35,6 @@ class Example:
     analytic_k: Callable[[np.ndarray], np.ndarray] | None
     analytic_sigma: Callable[[np.ndarray], np.ndarray] | None
     metadata: dict = dc_field(default_factory=dict)
-    params: dict = dc_field(default_factory=dict)
 
     @property
     def default_domain(self) -> Box | Ball:
@@ -53,12 +52,16 @@ def _unit_rays(pts: np.ndarray) -> np.ndarray:
 
 
 def make_example(name: str, dim: int = 2, **params) -> Example:
-    """Construct a catalog entry; unknown names and bad params raise."""
+    """Construct a catalog entry; unknown names, unknown params and bad values raise."""
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
-    builder = _BUILDERS.get(name)
-    if builder is None:
+    if name not in _BUILDERS:
         raise ValueError(f"unknown example {name!r}; known: {', '.join(sorted(_BUILDERS))}")
+    builder, names = _BUILDERS[name]
+    unknown = sorted(set(params) - set(names))
+    if unknown:
+        listed = ", ".join(map(repr, unknown))
+        raise ValueError(f"example {name!r} has no parameter {listed}; its parameters: {', '.join(names) or 'none'}")
     return builder(dim, params)
 
 
@@ -97,7 +100,6 @@ def _linear(dim, params):
             "singular_points": [],
             "domain": Box((-1.0,) * dim, (1.0,) * dim),
         },
-        params={"A": A, "det": det},
     )
 
 
@@ -166,7 +168,6 @@ def _winding(dim, params):
             "singular_points": [(0.0, 0.0)],
             "domain": Ball((0.0, 0.0), 1.0),
         },
-        params={"k": k},
     )
 
 
@@ -192,7 +193,6 @@ def _radial_power(dim, params):
             "singular_points": [(0.0,) * dim],
             "domain": Ball((0.0,) * dim, 1.0),
         },
-        params={"a": a},
     )
 
 
@@ -262,22 +262,23 @@ def _x_over_norm(dim, params):
     )
 
 
+# each example's builder and the parameter names it accepts
 _BUILDERS = {
-    "identity": _identity,
-    "linear": _linear,
-    "cone": _cone,
-    "smooth_bump": _smooth_bump,
-    "winding": _winding,
-    "radial_power": _radial_power,
-    "radial_log": _radial_log,
-    "x_over_norm": _x_over_norm,
+    "identity": (_identity, ()),
+    "linear": (_linear, ("A",)),
+    "cone": (_cone, ()),
+    "smooth_bump": (_smooth_bump, ()),
+    "winding": (_winding, ("k",)),
+    "radial_power": (_radial_power, ("a",)),
+    "radial_log": (_radial_log, ()),
+    "x_over_norm": (_x_over_norm, ()),
 }
 
 
 def list_examples() -> list[dict]:
     """Deterministic catalog listing with per-entry metadata."""
     out = []
-    for name in _BUILDERS:
+    for name, (_, params) in _BUILDERS.items():
         ex = make_example(name, dim=2)
         out.append(
             {
@@ -285,7 +286,7 @@ def list_examples() -> list[dict]:
                 "kind": "scalar" if ex.is_scalar else "map",
                 "distortion_class": ex.metadata.get("distortion_class"),
                 "singular_points": [list(s) for s in ex.metadata.get("singular_points", [])],
-                "params": sorted(ex.params),
+                "params": sorted(params),
                 "notes": ex.metadata.get("notes", ""),
             }
         )

@@ -554,6 +554,67 @@ def test_chain_without_a_ball(tmp_path, capsys):
     _fails_with(["monotonicity", rl, "--chain"], capsys, "--chain needs --chain-ball R")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gallery", "--export", "winding", "--params", "K=3", "--out", "{out}"],
+         "example 'winding' has no parameter 'K'; its parameters: k"),
+        (["modulus", "--example", "radial_power", "--params", "alpha=3", "--radii", "0.1,0.2,0.3"],
+         "example 'radial_power' has no parameter 'alpha'; its parameters: a"),
+        (["modulus", "--example", "radial_log", "--params", "a=2", "--radii", "0.1,0.2"],
+         "example 'radial_log' has no parameter 'a'; its parameters: none"),
+    ],
+    ids=["gallery-winding-K", "modulus-radial_power-alpha", "modulus-radial_log-a"],
+)
+def test_unknown_params_rejected(tmp_path, capsys, argv, message):
+    out = tmp_path / "w.json"
+    _fails_with([a.format(out=out) for a in argv], capsys, message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("shape", [16.7, 16.2], "geometry key 'shape': 16.7 is not an integer"),
+        ("dim", 2.9, "geometry key 'dim': 2.9 is not an integer"),
+        ("shape", ["16", "16"], "geometry key 'shape': '16' is not an integer"),
+        ("spacing", "0.125", "geometry key 'spacing': '0.125' is not a finite number"),
+    ],
+    ids=["shape-fraction", "dim-fraction", "shape-strings", "spacing-string"],
+)
+def test_field_geometry_of_the_wrong_type_rejected(tmp_path, capsys, key, value, message):
+    path = cone_file(tmp_path, 16)
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc[key] = value
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    _fails_with(["sobolev", path], capsys, message)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["monotonicity", "{missing}", "--chain", "--center", "0,0"], "--chain needs --chain-ball R"),
+        (["monotonicity", "{missing}", "--center", "0,0"], "the defect sweep needs --radii a,b,c"),
+        (["sobolev", "{missing}", "--check", "band"], "band check needs --band A,B"),
+        (["sobolev", "{missing}", "--band", "0.2,0.4,0.6"], "band check needs --band A,B"),
+        (["distribution", "{missing}", "--gammas", "0.5,1.5"], "--gammas entries must lie in (0, 1), got 1.5"),
+        (["distribution", "{missing}", "--powers", "1,-2", "--gammas", "0"], "--gammas entries must lie in (0, 1), got 0.0"),
+        (["distribution", "{missing}", "--powers", "1,-2"], "--powers entries must be positive, got -2.0"),
+    ],
+    ids=["chain-ball", "radii", "band-missing", "band-three", "gammas", "gammas-first", "powers"],
+)
+def test_option_checks_come_before_the_file(tmp_path, capsys, argv, message):
+    # the options alone are wrong: the message names the option, not the
+    # missing file, and nothing is read
+    _fails_with([a.format(missing=tmp_path / "missing.json") for a in argv], capsys, message)
+
+
+def test_band_options_ignored_by_other_checks(tmp_path, capsys):
+    assert main(["sobolev", cone_file(tmp_path, 16), "--check", "sharp", "--band", "1,2,3"]) == 0
+
+
 def test_gallery_with_data_for_an_example_without_data(tmp_path, capsys):
     argv = ["gallery", "--export", "cone", "--resolution", "16", "--with-data", "--out", str(tmp_path / "c.json")]
     _fails_with(argv, capsys, "example 'cone' carries no analytic distortion data")

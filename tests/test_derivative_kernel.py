@@ -27,6 +27,7 @@ from distlab.fields import (
     Grid,
     ScalarField,
     VectorMap,
+    boundary_support_ok,
     build_grid,
     differential,
     grad_norm,
@@ -83,6 +84,20 @@ def _ref_axis_derivative(grid, data, axis):
     out[only_hi] = (hi_val[only_hi] - filled[only_hi]) / h
     out[only_lo] = (filled[only_lo] - lo_val[only_lo]) / h
     return out
+
+
+def _ref_one_sided(mask, axis):
+    """Masked cells with no masked neighbour below, and with none above."""
+    return mask & ~_ref_shift(mask, axis, +1), mask & ~_ref_shift(mask, axis, -1)
+
+
+def _ref_boundary_adjacent(mask):
+    """The earlier full-box boolean of masked cells missing a masked
+    neighbour along some axis."""
+    edge = np.zeros(mask.shape, dtype=bool)
+    for a in range(mask.ndim):
+        edge |= np.logical_or(*_ref_one_sided(mask, a))
+    return edge
 
 
 def _ref_gradient(grid, data):
@@ -343,7 +358,7 @@ def test_differential_frees_the_component_copies_before_the_gather():
     rows, copies = 9 * 8 * grid.cell_count, 3 * 8 * grid.mask.size
     block = min(fields._BLOCK, grid.mask.size)
     blocks = 2 * 9 * 8 * block + 8 * block  # and the gather's indices
-    stencils = 8 * 2 * 3 * int(grid.boundary_adjacent.sum())  # one-sided cell indices, at most
+    stencils = sum(8 * (lo.size + hi.size) for _, lo, hi in build_grid(grid.domain, 32).stencils) + 2 * grid.mask.size
     bound = rows + copies + blocks + stencils
     peak = _traced_peak(lambda: differential(vm))
     assert peak <= 1.05 * bound, f"peak {peak / bound:.3f} x (masked rows + copies + two blocks + stencils)"
@@ -551,3 +566,65 @@ def test_isolated_cell_message_unchanged():
         differential(vm)
     with pytest.raises(ValueError, match=msg):
         _ref_differential(vm)
+
+
+@given(case=masked_maps(uncropped=True))
+@settings(max_examples=60, deadline=None)
+def test_stencils_are_the_one_sided_cells(case):
+    # built box and ball grids, slabs with a 2-cell axis, and an off-centre
+    # ball both on its full box and cropped
+    vm, twin = case
+    for grid in (vm.grid,) if twin is None else (vm.grid, twin.grid):
+        assert len(grid.stencils) == grid.dim
+        for a, (stride, no_lo, no_hi) in enumerate(grid.stencils):
+            ref_lo, ref_hi = _ref_one_sided(grid.mask, a)
+            assert stride == math.prod(grid.shape[a + 1 :])
+            assert np.array_equal(no_lo, np.flatnonzero(ref_lo))
+            assert np.array_equal(no_hi, np.flatnonzero(ref_hi))
+        assert np.array_equal(grid.masked_centers, grid.centers[grid.mask])
+
+
+@given(
+    dim=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from([0.2, 0.5, 0.9, 1.0]),
+    edge_scale=st.sampled_from([0.0, 1e-12, 1.0]),
+    hot=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_boundary_support_ok_matches_full_box_rule(dim, seed, density, edge_scale, hot):
+    # random masks, isolated cells included: the one-sided cells give the
+    # earlier full-box verdict, and no derivative check raises on the way;
+    # ``hot`` makes a single boundary cell large
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(n) for n in rng.integers(2, 12 if dim == 2 else 7, size=dim))
+    mask = rng.random(shape) < density
+    mask.flat[rng.integers(mask.size)] = True
+    edge = _ref_boundary_adjacent(mask)
+    values = rng.normal(size=shape) * np.where(edge, edge_scale, 1.0)
+    if hot:
+        values[tuple(rng.choice(np.argwhere(edge)))] = 1.0
+    vmax = np.abs(values[mask]).max()
+    expected = vmax == 0.0 or not (np.abs(values[edge]) >= 1e-9 * vmax).any()
+    field = ScalarField(Grid(dim, shape, (0.0,) * dim, 0.25, mask), np.where(mask, values, np.nan))
+    assert boundary_support_ok(field) == expected
+
+
+def test_grid_keeps_no_box_sized_cache():
+    # a sampled grid keeps only its mask at box size: no full-box centres and
+    # no full-box boundary set, only the one-sided cell indices
+    grid = build_grid(Ball((0.0, 0.0), 1.0), 64)
+    field = sample(grid, lambda p: 1.0 - (p**2).sum(axis=-1))
+    grad_norm(field)
+    boundary_support_ok(field)
+
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, tuple):
+            for item in obj:
+                yield from arrays(item)
+
+    kept = [x for v in vars(grid).values() for x in arrays(v)]
+    assert [x.shape for x in kept if x.size >= grid.mask.size and x is not grid.mask] == []
+    assert "stencils" in vars(grid)

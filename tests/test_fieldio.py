@@ -85,6 +85,27 @@ def test_malformed_documents_rejected(tmp_path):
         json_round = json.loads(json.dumps(bad))  # json turns nan into NaN literal
         field_from_document(bad)
 
+    # geometry of the wrong JSON type: fractions and strings where integers or
+    # numbers are due, bools where either is
+    for key, value in [
+        ("shape", [4.7, 4.2]),
+        ("dim", 2.9),
+        ("shape", ["4", "4"]),
+        ("spacing", "0.25"),
+        ("dim", True),
+        ("origin", [0.0, False]),
+        ("origin", [0.0, float("inf")]),
+        ("spacing", float("nan")),
+    ]:
+        bad = dict(doc, **{key: value})
+        with pytest.raises(FieldFormatError, match=f"geometry key '{key}': "):
+            field_from_document(bad)
+    ball = field_document(sample(build_grid(Ball((0.0, 0.0), 1.0), 4), cone))
+    for key, value in [("center", ["0", 0.0]), ("radius", True), ("radius", 10**400)]:
+        bad = dict(ball, domain={"ball": dict(ball["domain"]["ball"], **{key: value})})
+        with pytest.raises(FieldFormatError, match=f"geometry key '{key}': "):
+            field_from_document(bad)
+
     p = tmp_path / "junk.json"
     p.write_text("not json")
     with pytest.raises(FieldFormatError):

@@ -60,6 +60,32 @@ def test_unknown_example_and_bad_params():
         make_example("radial_power", a=0.5)
 
 
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("winding", {"K": 3}, "example 'winding' has no parameter 'K'; its parameters: k"),
+        ("radial_power", {"alpha": 3}, "example 'radial_power' has no parameter 'alpha'; its parameters: a"),
+        ("cone", {"foo": 1}, "example 'cone' has no parameter 'foo'; its parameters: none"),
+        ("linear", {"det": 2.0, "B": 1.0}, "example 'linear' has no parameter 'B', 'det'; its parameters: A"),
+    ],
+    ids=["winding-K", "radial_power-alpha", "cone-foo", "linear-det-B"],
+)
+def test_unknown_params_rejected(name, params, message):
+    with pytest.raises(ValueError) as exc:
+        make_example(name, **params)
+    assert str(exc.value) == message
+
+
+def test_list_examples_shows_the_accepted_params():
+    params = {e["name"]: e["params"] for e in list_examples()}
+    assert params == {
+        "identity": [], "linear": ["A"], "cone": [], "smooth_bump": [], "winding": ["k"],
+        "radial_power": ["a"], "radial_log": [], "x_over_norm": [],
+    }
+    for name, names in params.items():  # each listed name is accepted
+        make_example(name, **{key: 2.0 * np.eye(2) if key == "A" else 2 for key in names})
+
+
 def test_list_examples_deterministic():
     first = list_examples()
     second = list_examples()
