@@ -13,8 +13,10 @@ chain, and the exit-1 paths for a file of the wrong kind, a missing
 map, a non-finite or negative number, and a ``--center`` or ``--y0`` of
 the wrong length, an unknown ``--params`` name, an option that is wrong on
 its own with a missing file, and ``cone.json`` with a geometry key of the
-wrong JSON type; plus ``sobolev rl.k.json``, whose support warning exits
-2), and prints one ``exit sha256 command`` line per command
+wrong JSON type, and a ``--params`` key given twice; plus ``sobolev rl.k.json``,
+whose support warning exits 2; plus ``radial_log`` exported at 48^3, two
+sampling slabs, and its ``--y0`` check with the violation rows of several
+derivative blocks), and prints one ``exit sha256 command`` line per command
 and per side file; the hash covers stdout and stderr.  It then hashes the file that
 ``write_field(read_field(...))`` writes for ``rl.json`` and ``cone.json``,
 and runs one pass of the ``map-3d-96`` and
@@ -107,6 +109,13 @@ COMMANDS = [
     (["sobolev", "missing.json", "--check", "band"], []),
     (["distribution", "missing.json", "--gammas", "0.5,1.5"], []),
     (["distribution", "missing.json", "--powers", "1,-2"], []),
+    # exit-1 path: a --params key given twice
+    (["modulus", "--example", "winding", "--params", "k=2,k=3", "--radii", "0.1,0.2"], []),
+    # a 3-D export sampled in two slabs, and its violations spread over several derivative blocks
+    (["gallery", "--export", "radial_log", "--dim", "3", "--resolution", "48", "--with-data", "--out", "rl3.json"],
+     ["rl3.json", "rl3.k.json", "rl3.sigma.json"]),
+    (["analyze", "rl3.json", "--kfield", "rl3.k.json", "--sigmafield", "rl3.sigma.json", "--p", "4", "--q", "4",
+      "--y0", "0.05,0,0", "--violations-out", "violations3.csv"], ["violations3.csv"]),
 ]
 
 # exit-1 paths: cone.json with one geometry key of the wrong JSON type

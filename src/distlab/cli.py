@@ -125,6 +125,8 @@ def _params(text: str) -> dict:
         if "=" not in item:
             raise UsageError(f"parameters look like key=value, got {item!r}")
         key, val = item.split("=", 1)
+        if key.strip() in out:
+            raise UsageError(f"parameter {key.strip()!r} is given more than once")
         try:
             out[key.strip()] = float(val)
         except ValueError as exc:

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
+from . import fields
 from .fields import (
     ScalarField,
     VectorMap,
@@ -91,10 +92,11 @@ def _inv(p: float) -> float:
 
 def _lp(vals: np.ndarray, p: float, hvol: float) -> float:
     """L^p norm of nonnegative cell values on the sampled measure; the
-    essential sup is the max."""
+    essential sup is the max.  ``vals`` is overwritten."""
     if math.isinf(p):
         return float(vals.max())
-    return float((vals**p).sum() * hvol) ** (1.0 / p)
+    vals **= p
+    return float(vals.sum() * hvol) ** (1.0 / p)
 
 
 def _require_map_grid(vm: VectorMap, **data: ScalarField) -> None:
@@ -132,12 +134,16 @@ def pointwise_distortion(vm: VectorMap) -> ScalarField:
     return ScalarField.from_values(grid.with_mask(sub), dn[defined] / J[defined], nonnegative=True)
 
 
+def _dn(m: np.ndarray) -> np.ndarray:
+    """|Df|^n of each matrix in the ``(n, n, cells)`` stack ``m``, checked finite."""
+    with np.errstate(over="ignore"):  # an overflow is rejected as non-finite
+        return _finite(_smax(m) ** len(m))
+
+
 def _derivative_powers(vm: VectorMap) -> tuple[np.ndarray, np.ndarray]:
     """|Df|^n and J_f on the masked cells, from one difference derivative
     taken a block of cells at a time."""
-    n = vm.grid.dim
-    with np.errstate(over="ignore"):  # an overflow is rejected as non-finite
-        return tuple(_cellwise(vm.grid, [c.data for c in vm.components], lambda m: _finite(_smax(m) ** n), _det))
+    return tuple(_cellwise(vm.grid, [c.data for c in vm.components], _dn, _det))
 
 
 def _jacobian(vm: VectorMap) -> np.ndarray:
@@ -147,12 +153,15 @@ def _jacobian(vm: VectorMap) -> np.ndarray:
 
 def residual_defect(vm: VectorMap, K: ScalarField) -> ScalarField:
     """Minimal cellwise defect making the distortion inequality hold:
-    Sigma_min = max(0, |Df|^n - K * J_f)."""
+    Sigma_min = max(0, |Df|^n - K * J_f), decided one derivative block at a time."""
     _require_map_grid(vm, K=K)
-    if (K.values < 1.0).any():
+    k = K.values
+    if (k < 1.0).any():
         raise ValueError("residual defect expects K >= 1 cellwise")
-    dn, J = _derivative_powers(vm)
-    return ScalarField.from_values(vm.grid, np.maximum(dn - K.values * J, 0.0), nonnegative=True)
+    out = np.empty(vm.grid.cell_count)
+    for j0, j1, m in fields._derivative_blocks(vm.grid, [c.data for c in vm.components]):
+        np.maximum(_dn(m) - k[j0:j1] * _det(m), 0.0, out=out[j0:j1])
+    return ScalarField.from_values(vm.grid, out, nonnegative=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,21 +190,10 @@ class DistortionReport:
         return self.violation_count == 0
 
     def as_dict(self) -> dict:
-        return {
-            "violation_count": self.violation_count,
-            "max_violation": self.max_violation,
-            "max_excess": self.max_excess,
-            "K_norm_p": self.K_norm_p,
-            "Sigma_over_K_norm_q": self.Sigma_over_K_norm_q,
-            "p": self.p,
-            "q": self.q,
-            "infinite_sigma_cells": self.infinite_sigma_cells,
-            "checked_cells": self.checked_cells,
-            "critical_holder_exponent": self.critical_holder_exponent,
-            "resolution": list(self.resolution),
-            "spacing": self.spacing,
-            "tol_rel": self.tol_rel,
-        }
+        """Every field but the per-cell violation rows (report keys are sorted when dumped)."""
+        rows = ("violation_indices", "violation_lhs", "violation_rhs")
+        out = {f.name: getattr(self, f.name) for f in dataclass_fields(self) if f.name not in rows}
+        return {**out, "resolution": list(self.resolution)}
 
 
 def verify_distortion(
@@ -225,42 +223,40 @@ def verify_distortion(
             raise ValueError("y0 must be a point of the target space")
         if not np.isfinite(y0).all():
             raise ValueError("y0 must be a finite point of the target space")
-    dn, J = _derivative_powers(vm)
-    K = data.K.values
-    Sigma = data.Sigma.values
-
-    if y0 is not None:
-        dist_n = ((np.stack([c.values for c in vm.components], axis=1) - y0) ** 2).sum(axis=1) ** (n / 2.0)
-        # +inf wherever Sigma is, also at distance 0 where 0 * inf is NaN
-        with np.errstate(invalid="ignore"):
-            defect = np.where(np.isposinf(Sigma), np.inf, dist_n * Sigma)
-    else:
-        defect = Sigma
-
-    rhs = K * J + defect
-    resid = dn - rhs
-    if rel_tol is None:
-        tol = _PT_TOL * (1.0 + dn)
-        used_tol = _PT_TOL
-    else:
-        tol = rel_tol * (1.0 + dn + np.abs(K * J))
-        used_tol = rel_tol
-    excess = resid - tol
-    violated = excess > 0
+    K, Sigma = data.K.values, data.Sigma.values
+    coords = [c.values for c in vm.components] if y0 is not None else None
+    rows, peaks = [], []  # per block: the violation rows, and the maxima of resid and excess
+    for j0, j1, m in fields._derivative_blocks(grid, [c.data for c in vm.components]):
+        dn, J, k, defect = _dn(m), _det(m), K[j0:j1], Sigma[j0:j1]
+        if y0 is not None:
+            dist_n = ((np.stack([c[j0:j1] for c in coords], axis=1) - y0) ** 2).sum(axis=1) ** (n / 2.0)
+            # +inf wherever Sigma is, also at distance 0 where 0 * inf is NaN
+            with np.errstate(invalid="ignore"):
+                defect = np.where(np.isposinf(defect), np.inf, dist_n * defect)
+        rhs = k * J + defect
+        resid = dn - rhs
+        tol = _PT_TOL * (1.0 + dn) if rel_tol is None else rel_tol * (1.0 + dn + np.abs(k * J))
+        excess = resid - tol
+        bad = np.flatnonzero(excess > 0)
+        rows.append((bad + j0, dn[bad], rhs[bad]))
+        peaks.append((resid.max(initial=-np.inf), excess.max(initial=-np.inf)))
+    idx, lhs, rhs = (np.concatenate(r) for r in zip(*rows))
+    max_violation, max_excess = np.max(peaks, axis=0)
 
     finite_sigma = np.isfinite(Sigma)
     usable = finite_sigma & (K > 0)
-    sk_norm = _lp(Sigma[usable] / K[usable], data.q, grid.cell_volume) if usable.any() else 0.0
-    k_norm = lebesgue_norm(data.K, data.p)
+    quotient = Sigma[usable]
+    quotient /= K[usable]
+    sk_norm = _lp(quotient, data.q, grid.cell_volume) if usable.any() else 0.0
+    k_norm = _lp(np.abs(K), data.p, grid.cell_volume)
     crit = None
     if math.isinf(data.p):
         crit = min(1.0 / k_norm if k_norm > 0 else math.inf, 1.0 - _inv(data.q))
 
-    idx = np.nonzero(violated)[0]
     return DistortionReport(
-        violation_count=int(violated.sum()),
-        max_violation=float(resid.max()),
-        max_excess=float(excess.max()),
+        violation_count=len(idx),
+        max_violation=float(max_violation),
+        max_excess=float(max_excess),
         K_norm_p=k_norm,
         Sigma_over_K_norm_q=sk_norm,
         p=data.p,
@@ -269,11 +265,11 @@ def verify_distortion(
         checked_cells=int(grid.cell_count),
         critical_holder_exponent=crit,
         violation_indices=idx,
-        violation_lhs=dn[idx],
-        violation_rhs=rhs[idx],
+        violation_lhs=lhs,
+        violation_rhs=rhs,
         resolution=grid.shape,
         spacing=grid.spacing,
-        tol_rel=used_tol,
+        tol_rel=_PT_TOL if rel_tol is None else rel_tol,
     )
 
 

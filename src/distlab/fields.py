@@ -128,12 +128,16 @@ class Grid:
 
     @property
     def masked_centers(self) -> np.ndarray:
-        """Centers of masked cells, shape ``(cell_count, dim)``, gathered one
-        axis at a time (the values of ``centers[mask]``, without the box)."""
-        out = np.empty((self.cell_count, self.dim))
+        """Centers of masked cells, shape ``(cell_count, dim)`` (the values of ``centers[mask]``, without the box)."""
+        return self._plane_centers(0, self.shape[0])
+
+    def _plane_centers(self, p0: int, p1: int) -> np.ndarray:
+        """Centers of the masked cells in planes ``p0:p1`` of axis 0, gathered one axis at a time."""
+        keep = self.mask[p0:p1]
+        out = np.empty((np.count_nonzero(keep), self.dim))
         for a in range(self.dim):
-            coords = self._axis_coords(a).reshape((-1,) + (1,) * (self.dim - 1 - a))
-            out[:, a] = np.broadcast_to(coords, self.shape)[self.mask]
+            coords = self._axis_coords(a)[p0:p1] if a == 0 else self._axis_coords(a)
+            out[:, a] = np.broadcast_to(coords.reshape((-1,) + (1,) * (self.dim - 1 - a)), keep.shape)[keep]
         return out
 
     @cached_property
@@ -366,26 +370,53 @@ def _evaluate(evaluator: Callable, pts: np.ndarray) -> np.ndarray:
     return out
 
 
+_BLOCK = 16384  # flat box cells per derivative block: its buffers stay in cache
+_SLAB = 65536  # box cells per sampling slab: whole planes of axis 0, at least one
+
+
+def _sampled(grid: Grid, fn: Callable, **kw) -> ScalarField | VectorMap:
+    """``fn`` at the masked cell centers, called once per slab (``_SLAB``) that
+    holds any, in row-major order; each ``(m,)`` or ``(m, k)`` output goes straight
+    into NaN-filled boxes: a ScalarField built with ``kw``, or a VectorMap of k.
+    An output shape that changes between slabs raises ValueError."""
+    step = max(1, _SLAB // grid.mask[0].size)
+    shape, boxes = None, []
+    for p0 in range(0, grid.shape[0], step):
+        keep = grid.mask[p0 : p0 + step]
+        if not (m := np.count_nonzero(keep)):
+            continue
+        out = np.asarray(fn(grid._plane_centers(p0, p0 + step)), dtype=float)
+        if shape is None:
+            shape = out.shape[1:]
+            boxes = [np.full(grid.shape, np.nan) for _ in range(math.prod(shape))]
+        if out.shape != (m,) + shape:
+            raise ValueError(f"evaluator returned shape {out.shape} on {m} points, not {(m,) + shape}")
+        for box, col in zip(boxes, out.reshape(m, -1).T):
+            box[p0 : p0 + step][keep] = col
+        del out, col  # freed before the next slab's centers are built
+    comps = tuple(ScalarField(grid, box, **kw) for box in boxes)
+    return VectorMap(grid, comps) if shape else comps[0]
+
+
 def sample(grid: Grid, evaluator: Callable) -> ScalarField | VectorMap:
     """Evaluate a point function at every masked cell center.
 
-    The evaluator is called once with the ``(m, dim)`` array of centers.
-    Only if that call raises TypeError or returns a shape other than
-    ``(m,)`` or ``(m, dim)`` is it called once per point instead; any other
-    error propagates, and non-finite values raise ValueError.  Scalar
-    output yields a ScalarField, length-dim output a VectorMap.
+    The evaluator is called once per slab of whole axis-0 planes (at most
+    65,536 box cells, at least one plane), in row-major order, with the
+    ``(m, dim)`` array of the slab's masked centers.  Only if that call
+    raises TypeError or returns a shape other than ``(m,)`` or ``(m, dim)``
+    is it called once per point of the slab instead; any other error
+    propagates, and non-finite values raise ValueError.  Scalar output
+    yields a ScalarField, length-dim output a VectorMap.
     """
-    out = _evaluate(evaluator, grid.masked_centers)
-    return (ScalarField if out.ndim == 1 else VectorMap).from_values(grid, out)
+    return _sampled(grid, lambda pts: _evaluate(evaluator, pts))
 
 
-_BLOCK = 16384  # flat box cells per derivative block: its buffers stay in cache
-
-
-def _derivative_blocks(grid: Grid, comps: Sequence[np.ndarray]):
+def _derivative_blocks(grid: Grid, comps: Sequence[np.ndarray], span: tuple[int, int] | None = None):
     """Difference derivative on the masked cells, one block of ``_BLOCK``
     flat box cells at a time: yields ``(j0, j1, m)``, where ``m[i, j]`` holds
     d comps[i] / dx_j on masked cells ``j0:j1`` in row-major cell order.
+    ``span`` limits the blocks to a flat box range; the stencils stay the whole grid's.
     Central difference where both neighbors are masked, one-sided at the mask
     boundary; exact on affine inputs either way.  A neighbor is ``s`` flat
     entries away; a central step that wraps a row lands on a cell that is not
@@ -394,12 +425,13 @@ def _derivative_blocks(grid: Grid, comps: Sequence[np.ndarray]):
     for a, (_, fwd, bwd) in enumerate(stencils):
         if np.intersect1d(fwd, bwd, assume_unique=True).size:  # each one-sided cell needs its other neighbor
             raise ValueError(f"isolated masked cell along axis {a}: no neighbor for differences")
+    start, stop = span or (0, n)
     flat = [np.ravel(f) for f in comps]  # copies a component that is not C-contiguous
     keep = grid.mask.ravel()
-    buf = np.empty((len(comps), grid.dim, min(_BLOCK, n)))  # one block of stencils, reused for every block
-    j0 = 0
-    for b0 in range(0, n, _BLOCK):
-        b1 = min(b0 + _BLOCK, n)
+    buf = np.empty((len(comps), grid.dim, min(_BLOCK, stop - start)))  # one block of stencils, reused for every block
+    j0 = int(np.count_nonzero(keep[:start]))
+    for b0 in range(start, stop, _BLOCK):
+        b1 = min(b0 + _BLOCK, stop)
         # off-mask entries are never kept; an overflow is rejected as non-finite
         with np.errstate(over="ignore", invalid="ignore"):
             for a, (s, fwd, bwd) in enumerate(stencils):
@@ -416,16 +448,16 @@ def _derivative_blocks(grid: Grid, comps: Sequence[np.ndarray]):
         j0 += m.shape[2]
 
 
-def _cellwise(grid: Grid, comps: Sequence[np.ndarray], *fns: Callable) -> list[np.ndarray]:
-    """``fn(m)`` for each ``fn`` on the masked cells, taken block by block from
-    :func:`_derivative_blocks`; each ``fn`` acts cell by cell along the last
-    axis, and its output's last axis runs over the cells in row-major order."""
+def _cellwise(grid: Grid, comps: Sequence[np.ndarray], *fns: Callable, span=None) -> list[np.ndarray]:
+    """``fn(m)`` for each ``fn`` on the masked cells (zero outside ``span``), taken
+    block by block from :func:`_derivative_blocks`; each ``fn`` acts cell by cell
+    along the last axis, and its output's last axis runs over the cells in row-major order."""
     outs = []
-    for j0, j1, m in _derivative_blocks(grid, comps):
+    for j0, j1, m in _derivative_blocks(grid, comps, span=span):
         for k, fn in enumerate(fns):
             vals = fn(m)
             if k == len(outs):
-                outs.append(np.empty(vals.shape[:-1] + (grid.cell_count,)))
+                outs.append(np.zeros(vals.shape[:-1] + (grid.cell_count,)))
             outs[k][..., j0:j1] = vals
     return outs
 

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import Ball, Box, Grid, ScalarField, VectorMap, build_grid, sample
+from .fields import Ball, Box, Grid, ScalarField, VectorMap, _sampled, build_grid, sample
 
 __all__ = [
     "Example",
@@ -99,6 +99,7 @@ def _linear(dim, params):
             "distortion_class": "quasiregular" if det > 0 else "orientation_reversing",
             "singular_points": [],
             "domain": Box((-1.0,) * dim, (1.0,) * dim),
+            "notes": "A (a dim x dim matrix, default the identity) is library-only: --params cannot set it",
         },
     )
 
@@ -276,7 +277,7 @@ _BUILDERS = {
 
 
 def list_examples() -> list[dict]:
-    """Deterministic catalog listing with per-entry metadata."""
+    """Deterministic catalog listing; ``params`` names what ``--params`` can set."""
     out = []
     for name, (_, params) in _BUILDERS.items():
         ex = make_example(name, dim=2)
@@ -286,7 +287,7 @@ def list_examples() -> list[dict]:
                 "kind": "scalar" if ex.is_scalar else "map",
                 "distortion_class": ex.metadata.get("distortion_class"),
                 "singular_points": [list(s) for s in ex.metadata.get("singular_points", [])],
-                "params": sorted(params),
+                "params": sorted(set(params) - {"A"}),  # linear's matrix: --params only makes numbers
                 "notes": ex.metadata.get("notes", ""),
             }
         )
@@ -304,19 +305,14 @@ def sample_analytic_k(ex: Example, grid_or_resolution, clamped: bool = False) ->
     max(1, K) for data that must satisfy the K >= 1 convention."""
     if ex.analytic_k is None:
         raise ValueError(f"example {ex.name!r} has no analytic distortion coefficient")
-    grid = _resolve_grid(ex, grid_or_resolution)
-    vals = np.asarray(ex.analytic_k(grid.masked_centers), dtype=float)
-    if clamped:
-        vals = np.maximum(vals, 1.0)
-    return ScalarField.from_values(grid, vals, nonnegative=True)
+    fn = (lambda p: np.maximum(ex.analytic_k(p), 1.0)) if clamped else ex.analytic_k
+    return _sampled(_resolve_grid(ex, grid_or_resolution), fn, nonnegative=True)
 
 
 def sample_analytic_sigma(ex: Example, grid_or_resolution) -> ScalarField:
     if ex.analytic_sigma is None:
         raise ValueError(f"example {ex.name!r} has no analytic defect")
-    grid = _resolve_grid(ex, grid_or_resolution)
-    vals = np.asarray(ex.analytic_sigma(grid.masked_centers), dtype=float)
-    return ScalarField.from_values(grid, vals, nonnegative=True, allow_infinite=True)
+    return _sampled(_resolve_grid(ex, grid_or_resolution), ex.analytic_sigma, nonnegative=True, allow_infinite=True)
 
 
 def _resolve_grid(ex: Example, grid_or_resolution) -> Grid:

@@ -307,7 +307,11 @@ def sup_bound_chain(
         # So |grad phi| is the norm of row i of D f there, and g = f with f_i
         # replaced by +-phi (the sign of f_i - level) has J_g = J_f there: one
         # derivative of f, and no difference taken across the kink of phi
-        vals = _cellwise(grid, [c.data for c in vm.components], lambda D: np.sqrt((D[i] ** 2).sum(axis=0)), _det)
+        # taken on the support's flat box range plus one stride each side, with the whole grid's stencils
+        cells, s = np.flatnonzero(phi.data > 0), grid.stencils[0][0]
+        span = (max(int(cells[0]) - s, 0), min(int(cells[-1]) + 1 + s, grid.mask.size))
+        comps = [c.data for c in vm.components]
+        vals = _cellwise(grid, comps, lambda D: np.sqrt((D[i] ** 2).sum(axis=0)), _det, span=span)
         support = phi.values > 0
         gn, Jg = (np.where(support, v, 0.0) for v in vals)
 

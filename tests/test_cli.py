@@ -9,6 +9,7 @@ from distlab import cli, fields, monotonicity
 from distlab.cli import CommandPlan, UsageError, execute, main, parse_command
 from distlab.fieldio import read_field, write_field
 from distlab.fields import Ball, Box, ScalarField, build_grid, sample
+from distlab.gallery import list_examples
 
 
 def run(argv, capsys=None):
@@ -570,6 +571,26 @@ def test_unknown_params_rejected(tmp_path, capsys, argv, message):
     out = tmp_path / "w.json"
     _fails_with([a.format(out=out) for a in argv], capsys, message)
     assert not out.exists()
+
+
+def test_repeated_params_key_rejected(capsys):
+    _fails_with(["modulus", "--example", "winding", "--params", "k=2,k=3", "--radii", "0.1,0.2"], capsys,
+                "parameter 'k' is given more than once")
+
+
+# the default of every parameter that gallery --list shows
+LISTED_DEFAULTS = {("winding", "k"): "2", ("radial_power", "a"): "2"}
+
+
+def test_every_listed_param_exports_at_its_default(tmp_path, capsys):
+    listed = [(e["name"], key) for e in list_examples() for key in e["params"]]
+    assert listed
+    for name, key in listed:
+        out = tmp_path / f"{name}.json"
+        argv = ["gallery", "--export", name, "--params", f"{key}={LISTED_DEFAULTS[name, key]}", "--resolution", "8",
+                "--out", str(out)]
+        assert main(argv) == 0, capsys.readouterr().err
+        assert out.exists()
 
 
 @pytest.mark.parametrize(

@@ -408,8 +408,8 @@ def test_block_loop_matches_reference_at_every_block_size(monkeypatch, dim, layo
 
     chain = []
 
-    def recording(*args, _fn=fields._cellwise):
-        chain.append(_fn(*args))
+    def recording(*args, _fn=fields._cellwise, **kw):
+        chain.append(_fn(*args, **kw))
         return chain[-1]
 
     monkeypatch.setattr(monotonicity, "_cellwise", recording)

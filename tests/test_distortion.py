@@ -9,6 +9,7 @@ from distlab import distortion, fields
 from distlab.fields import Ball, Box, ScalarField, build_grid, sample
 from distlab.distortion import (
     DistortionData,
+    _derivative_powers,
     jacobian_parts,
     lebesgue_norm,
     normalize_low_distortion,
@@ -259,6 +260,83 @@ def test_one_derivative_pass_per_call(monkeypatch):
         calls.clear()
         call()
         assert calls == {"_derivative_blocks": 1, "_smax": 1, "_det": 1}
+
+
+def _full_verify(vm, data, y0=None, rel_tol=None):
+    """The verdict on whole masked arrays, as verify_distortion took it before
+    it decided each derivative block in turn: the reference for the block loop."""
+    n = vm.grid.dim
+    dn, J = _derivative_powers(vm)
+    K, Sigma = data.K.values, data.Sigma.values
+    if y0 is not None:
+        dist_n = ((np.stack([c.values for c in vm.components], axis=1) - np.asarray(y0)) ** 2).sum(axis=1) ** (n / 2.0)
+        with np.errstate(invalid="ignore"):
+            defect = np.where(np.isposinf(Sigma), np.inf, dist_n * Sigma)
+    else:
+        defect = Sigma
+    rhs = K * J + defect
+    resid = dn - rhs
+    tol = 1e-9 * (1.0 + dn) if rel_tol is None else rel_tol * (1.0 + dn + np.abs(K * J))
+    excess = resid - tol
+    violated = excess > 0
+    idx = np.nonzero(violated)[0]
+    usable = np.isfinite(Sigma) & (K > 0)
+    hvol = vm.grid.cell_volume
+    return {
+        "violation_indices": idx,
+        "violation_lhs": dn[idx],
+        "violation_rhs": rhs[idx],
+        "violation_count": int(violated.sum()),
+        "max_violation": float(resid.max()),
+        "max_excess": float(excess.max()),
+        "K_norm_p": float(((np.abs(K) ** data.p).sum() * hvol)) ** (1.0 / data.p),
+        "Sigma_over_K_norm_q": float(((Sigma[usable] / K[usable]) ** data.q).sum() * hvol) ** (1.0 / data.q),
+        "infinite_sigma_cells": int((~np.isfinite(Sigma)).sum()),
+    }
+
+
+def _full_residual(vm, K):
+    dn, J = _derivative_powers(vm)
+    return np.maximum(dn - K.values * J, 0.0)
+
+
+def _violating_case(dim):
+    """A nonlinear map on a ball cut by the box (blocks with no masked cell
+    too), K in [1, 3], and Sigma a random share of the minimal defect, so
+    that about half the cells violate; Sigma is +inf on every 11th cell."""
+    grid = build_grid(Box((-1.0,) * dim, (1.0,) * dim), 24 if dim == 2 else 10)
+    grid = grid.crop(grid.ball_mask(Ball((0.3, -0.2, 0.1)[:dim], 1.2)))[0]
+    vm = sample(grid, lambda p: p + 0.3 * np.sin(3.0 * p[:, ::-1]))
+    rng = np.random.default_rng(dim)
+    K = ScalarField.from_values(grid, rng.uniform(1.0, 3.0, grid.cell_count), nonnegative=True)
+    share = np.where(rng.uniform(size=grid.cell_count) < 0.3, 0.0, rng.uniform(0.5, 1.5, grid.cell_count))
+    sigma = _full_residual(vm, K) * share
+    sigma[::11] = np.inf
+    return vm, DistortionData(K, ScalarField.from_values(grid, sigma, nonnegative=True, allow_infinite=True), 3.0, 4.0)
+
+
+@pytest.mark.parametrize("rel_tol", [None, 3e-2])
+@pytest.mark.parametrize("y0", [False, True], ids=["no-y0", "y0"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_block_verdicts_equal_the_whole_array_verdict(monkeypatch, dim, y0, rel_tol):
+    vm, data = _violating_case(dim)
+    point = (0.05, -0.1, 0.2)[:dim] if y0 else None
+    ref = _full_verify(vm, data, point, rel_tol)
+    ref_sigma = _full_residual(vm, data.K)
+    stride = math.prod(vm.grid.shape[1:])
+    assert ref["violation_count"] > 20 and np.ptp(ref["violation_indices"]) > 2 * stride  # over several blocks
+    assert ref["infinite_sigma_cells"] > 0
+    for block in (1, 7, stride - 1, stride + 1, fields._BLOCK):
+        monkeypatch.setattr(fields, "_BLOCK", block)
+        rep = verify_distortion(vm, data, y0=point, rel_tol=rel_tol)
+        for key, want in ref.items():
+            got = getattr(rep, key)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want), (block, key)
+            else:
+                assert type(got) is type(want) and got == want, (block, key, got, want)
+        if not y0 and rel_tol is None:  # the residual reads neither
+            assert np.array_equal(residual_defect(vm, data.K).values, ref_sigma)
 
 
 # --------------------------------------------------------- verify_distortion

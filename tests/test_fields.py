@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from distlab import fields
 from distlab.fields import (
     Ball,
     Box,
@@ -26,6 +27,7 @@ from distlab.fields import (
     sphere_trace,
     truncate,
 )
+from distlab.gallery import Example, make_example, sample_analytic_k, sample_analytic_sigma, sample_map
 from distlab.monotonicity import ball_extrema
 
 
@@ -137,6 +139,116 @@ def test_sample_evaluator_error_propagates_after_one_call():
     with pytest.raises(ValueError, match="broken evaluator"):
         sample(g, broken)
     assert calls == [(g.cell_count, 2)]
+
+
+# ------------------------------------------------------------- slab sampling
+
+SLAB_GRIDS = {
+    "2d-ball": (Ball((0.1, -0.2), 0.9), 29),
+    "2d-box": (CENTERED, 29),
+    "3d-ball": (Ball((0.1, -0.2, 0.05), 0.9), 13),
+    "3d-box": (Box((-1.0,) * 3, (1.0,) * 3), 13),
+}
+
+
+def _slab_sizes(grid):
+    """_SLAB values: one plane, less than one (still one plane), a count that
+    is no multiple of the plane, and more than the whole box."""
+    plane = grid.mask[0].size
+    return {"plane": plane, "half-plane": plane // 2, "uneven": 2 * plane + 3, "beyond": 2 * grid.mask.size}
+
+
+def _slab_example(dim):
+    """An example whose K and Sigma vary per cell; Sigma is +inf on a half plane."""
+    return Example(
+        "slabs",
+        dim,
+        False,
+        lambda p: p,
+        lambda p: 1.0 + p[:, 0] ** 2 + np.exp(p[:, -1]),
+        lambda p: np.where(p[:, 0] > 0.3, np.inf, np.sin(5.0 * p[:, 1]) ** 2),
+        {"domain": Box((-1.0,) * dim, (1.0,) * dim)},
+    )
+
+
+def _scalar_ev(p):
+    return np.sin(3.0 * p[:, 0]) * np.exp(p[:, -1]) + p[:, 1] ** 3
+
+
+def _vector_ev(p):
+    return p * p[:, ::-1] + np.cos(p)
+
+
+@pytest.mark.parametrize("slab", ["plane", "half-plane", "uneven", "beyond"])
+@pytest.mark.parametrize("where", list(SLAB_GRIDS))
+def test_slab_sampling_matches_the_masked_centers(monkeypatch, where, slab):
+    grid = build_grid(*SLAB_GRIDS[where])
+    monkeypatch.setattr(fields, "_SLAB", _slab_sizes(grid)[slab])
+    centers = grid.masked_centers
+    off = ~grid.mask
+    f = sample(grid, _scalar_ev)
+    assert np.array_equal(f.values, _scalar_ev(centers)) and np.isnan(f.data[off]).all()
+    vm = sample(grid, _vector_ev)
+    for c, ref in zip(vm.components, _vector_ev(centers).T):
+        assert np.array_equal(c.values, ref) and np.isnan(c.data[off]).all()
+    ex = _slab_example(grid.dim)
+    k = ex.analytic_k(centers)
+    assert np.array_equal(sample_analytic_k(ex, grid).values, k)
+    assert np.array_equal(sample_analytic_k(ex, grid, clamped=True).values, np.maximum(k, 1.0))
+    sigma = sample_analytic_sigma(ex, grid)
+    assert np.array_equal(sigma.values, ex.analytic_sigma(centers)) and np.isinf(sigma.values).any()
+    assert np.isnan(sigma.data[off]).all()
+
+
+@pytest.mark.parametrize("slab", ["plane", "half-plane", "uneven", "beyond"])
+def test_slab_sampling_falls_back_per_point_in_each_slab(monkeypatch, slab):
+    grid = build_grid(*SLAB_GRIDS["2d-ball"])
+    sizes = _slab_sizes(grid)
+    monkeypatch.setattr(fields, "_SLAB", sizes[slab])
+    calls = []
+
+    def hypot(p):  # math.hypot raises TypeError on the whole array
+        calls.append(np.shape(p))
+        return math.hypot(*p)
+
+    r = sample(grid, hypot)
+    assert np.array_equal(r.values, [math.hypot(*c) for c in grid.masked_centers])
+    step = max(1, sizes[slab] // grid.mask[0].size)
+    slabs = [grid.mask[p0 : p0 + step].sum() for p0 in range(0, grid.shape[0], step)]
+    arrays = [shape for shape in calls if len(shape) == 2]
+    assert arrays == [(m, 2) for m in slabs if m]  # one array call per slab, then its points
+    assert len(calls) == len(arrays) + grid.cell_count
+
+
+def test_slab_sampling_rejects_an_output_shape_that_changes(monkeypatch):
+    grid = build_grid(*SLAB_GRIDS["3d-box"])
+    monkeypatch.setattr(fields, "_SLAB", grid.mask[0].size)
+    calls = []
+
+    def fickle(p):
+        calls.append(len(p))
+        return p[:, 0] if len(calls) == 1 else p
+
+    with pytest.raises(ValueError, match="shape"):
+        sample(grid, fickle)
+    assert len(calls) == 2
+
+
+def test_slab_sampling_holds_one_slab_beside_the_boxes():
+    # the 64^3 identity: three output boxes, and the centers and output of
+    # one 65,536-cell slab, never the (cells, 3) centers of the whole box
+    grid = build_grid(Box((-1.0,) * 3, (1.0,) * 3), 64)
+    ex = make_example("identity", dim=3)
+    boxes = 3 * 8 * grid.mask.size
+    slab = 2 * 8 * 3 * fields._SLAB
+    tracemalloc.start()
+    try:
+        vm = sample_map(ex, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(vm.component(2).values, grid.masked_centers[:, 2])
+    assert peak < boxes + 1.2 * slab, f"peak {peak / (boxes + slab):.3f} x (boxes + one slab)"
 
 
 # ------------------------------------------------------------------ gradient

@@ -77,13 +77,17 @@ def test_unknown_params_rejected(name, params, message):
 
 
 def test_list_examples_shows_the_accepted_params():
+    # the names --params can set: linear's matrix A is library-only
     params = {e["name"]: e["params"] for e in list_examples()}
     assert params == {
-        "identity": [], "linear": ["A"], "cone": [], "smooth_bump": [], "winding": ["k"],
+        "identity": [], "linear": [], "cone": [], "smooth_bump": [], "winding": ["k"],
         "radial_power": ["a"], "radial_log": [], "x_over_norm": [],
     }
     for name, names in params.items():  # each listed name is accepted
-        make_example(name, **{key: 2.0 * np.eye(2) if key == "A" else 2 for key in names})
+        make_example(name, **{key: 2 for key in names})
+    notes = next(e["notes"] for e in list_examples() if e["name"] == "linear")
+    assert "library-only" in notes
+    assert make_example("linear", A=2.0 * np.eye(2)).metadata["distortion_class"] == "quasiregular"
 
 
 def test_list_examples_deterministic():

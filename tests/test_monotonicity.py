@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from distlab import fields
+from distlab import fields, monotonicity
 from distlab.distortion import DistortionData, residual_defect
 from distlab.fields import Ball, Box, ScalarField, build_grid, sample
 from distlab.gallery import make_example, sample_analytic_k, sample_map
@@ -302,9 +302,9 @@ def test_chain_takes_one_derivative_pass(monkeypatch):
     # |grad phi| and J_g both come from D f by the chain rule
     passes = []
 
-    def counted(grid, comps, _fn=fields._derivative_blocks):
+    def counted(grid, comps, _fn=fields._derivative_blocks, **kw):
         passes.append(len(comps))
-        return _fn(grid, comps)
+        return _fn(grid, comps, **kw)
 
     vms, data, ext = chain_setup(res=128)
     monkeypatch.setattr(fields, "_derivative_blocks", counted)
@@ -313,6 +313,54 @@ def test_chain_takes_one_derivative_pass(monkeypatch):
         led = sup_bound_chain(vms, data, 0, ext.boundary_max, mode)
         assert not led.trivial
         assert passes == [2]
+
+
+def _span_case(name):
+    """(map, component, level, mode, which ends of the flat box range the
+    support's span must reach): supports at the box's first and last planes,
+    beside a slot that makes the mask non-convex along axis 1 or along
+    axis 0, and on a 3-D ball."""
+    dim = 3 if name == "3d-ball" else 2
+    grid = build_grid(Ball((0.0,) * 3, 1.0) if dim == 3 else CENTERED, 14 if dim == 3 else 24)
+    c = grid.centers
+    if name == "slot-along-0":  # rows x0 > -0.3 are split along axis 1
+        grid = grid.with_mask(~((c[..., 0] > -0.3) & (np.abs(c[..., 1]) < 0.15)))
+    elif name == "slot-across-0":  # a gap along axis 0 just before the support's first plane
+        grid = grid.with_mask(~((np.abs(c[..., 0] - 0.3) < 0.1) & (c[..., 1] > -0.3)))
+    vm = sample(grid, lambda p: p + 0.2 * np.sin(2.0 * p[:, ::-1]))
+    comp, mode, q, ends = {
+        "first-plane": (0, "below", 0.15, (True, False)),
+        "last-plane": (0, "above", 0.85, (False, True)),
+        "slot-along-0": (0, "above", 0.8, (False, True)),
+        "slot-across-0": (0, "above", 0.75, (False, True)),
+        "3d-ball": (0, "above", 0.8, (False, True)),
+    }[name]
+    return vm, comp, float(np.quantile(vm.component(comp).values, q)), mode, ends
+
+
+@pytest.mark.parametrize("name", ["first-plane", "last-plane", "slot-along-0", "slot-across-0", "3d-ball"])
+def test_chain_on_the_support_span_equals_the_full_derivative_ledger(monkeypatch, name):
+    vm, i, level, mode, ends = _span_case(name)
+    K = ScalarField.from_values(vm.grid, np.full(vm.grid.cell_count, 2.0), nonnegative=True)
+    data = DistortionData(K, residual_defect(vm, K), 4.0, 4.0)
+    spans = []
+
+    def whole(*args, span=None, _fn=fields._cellwise):  # the derivative on every cell, as before the span
+        spans.append(span)
+        return _fn(*args)
+
+    monkeypatch.setattr(monotonicity, "_cellwise", whole)
+    ref = sup_bound_chain(vm, data, i, level, mode)
+    monkeypatch.undo()
+    assert not ref.trivial
+    n = vm.grid.mask.size
+    start, stop = spans[0]
+    assert (start == 0, stop == n) == ends and stop - start < n  # a strict part of the box
+    stride = math.prod(vm.grid.shape[1:])
+    for block in (1, 7, stride - 1, stride + 1, fields._BLOCK):
+        monkeypatch.setattr(fields, "_BLOCK", block)
+        led = sup_bound_chain(vm, data, i, level, mode)
+        assert json.dumps(led.as_dict(), sort_keys=True) == json.dumps(ref.as_dict(), sort_keys=True), block
 
 
 def test_chain_gallery_maps_trivial_and_true():
