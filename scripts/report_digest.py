@@ -16,7 +16,9 @@ its own with a missing file, and ``cone.json`` with a geometry key of the
 wrong JSON type, and a ``--params`` key given twice; plus ``sobolev rl.k.json``,
 whose support warning exits 2; plus ``radial_log`` exported at 48^3, two
 sampling slabs, and its ``--y0`` check with the violation rows of several
-derivative blocks), and prints one ``exit sha256 command`` line per command
+derivative blocks; plus every other catalog example exported at 32^2 and,
+where it exists in 3-D, at 32^3, with ``--with-data`` where it carries
+data), and prints one ``exit sha256 command`` line per command
 and per side file; the hash covers stdout and stderr.  It then hashes the file that
 ``write_field(read_field(...))`` writes for ``rl.json`` and ``cone.json``,
 and runs one pass of the ``map-3d-96`` and
@@ -117,6 +119,16 @@ COMMANDS = [
     (["analyze", "rl3.json", "--kfield", "rl3.k.json", "--sigmafield", "rl3.sigma.json", "--p", "4", "--q", "4",
       "--y0", "0.05,0,0", "--violations-out", "violations3.csv"], ["violations3.csv"]),
 ]
+
+# every other catalog example at 32^2 and, where it exists in 3-D, at 32^3, with its data where it carries any
+for name, data, dims in [("identity", True, (2, 3)), ("linear", True, (2, 3)), ("smooth_bump", False, (2, 3)),
+                         ("winding", True, (2,)), ("radial_power", True, (2, 3)), ("x_over_norm", True, (2, 3))]:
+    for dim in dims:
+        base = f"{name}{dim}"
+        COMMANDS.append(
+            (["gallery", "--export", name, "--dim", str(dim), "--resolution", "32", *(["--with-data"] if data else []),
+              "--out", f"{base}.json"], [f"{base}.json", *([f"{base}.k.json", f"{base}.sigma.json"] if data else [])])
+        )
 
 # exit-1 paths: cone.json with one geometry key of the wrong JSON type
 GEOMETRY = [("shape", [256.7, 256.2]), ("dim", 2.9), ("shape", ["256", "256"]), ("spacing", "0.0078125")]

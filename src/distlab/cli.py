@@ -243,6 +243,11 @@ def parse_command(argv: list[str]) -> CommandPlan:
         raise UsageError("--chain needs --chain-ball R")
     if sub == "monotonicity" and not opts["chain"] and opts["radii"] is None:
         raise UsageError("the defect sweep needs --radii a,b,c")
+    if sub == "analyze" or (sub == "monotonicity" and opts["chain"]):
+        try:
+            DistortionData.check_exponents(opts["p"], opts["q"])
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     if sub == "sobolev":
         band = opts["check"] == "band" or (opts["check"] == "all" and opts["band"] is not None)
         if band and (opts["band"] is None or len(opts["band"]) != 2):
@@ -379,16 +384,16 @@ def _cmd_sobolev(plan: CommandPlan) -> int:
     opts = plan.options
     field = _read(opts["field"], ScalarField)
     which = opts["check"]
-    band = opts["band"] is not None
-    if band or which in ("superlevel", "all"):
+    if opts["band"] is not None or which in ("superlevel", "all"):
         _require_nonnegative(field, opts["field"])
+    # the band check runs first, so that a band it rejects costs no other check
+    band = [] if opts["band"] is None else [band_bound_check(field, *opts["band"])]
     reports = []
     if which in ("sharp", "all"):
         reports.append(sharp_sobolev_check(field))
     if which in ("superlevel", "all"):
         reports.append(superlevel_check(field))
-    if band:
-        reports.append(band_bound_check(field, *opts["band"]))
+    reports += band
     doc = {
         "checks": [r.as_dict() for r in reports],
         "all_hold": all(r.holds for r in reports),

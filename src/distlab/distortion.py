@@ -74,7 +74,12 @@ class DistortionData:
             raise ValueError("K must be nonnegative")
         if (self.Sigma.values < 0).any():
             raise ValueError("Sigma must be nonnegative")
-        if not (self.p >= 1 and self.q >= 1):
+        self.check_exponents(self.p, self.q)
+
+    @staticmethod
+    def check_exponents(p: float, q: float) -> None:
+        """Integrability exponents live in [1, inf]."""
+        if not (p >= 1 and q >= 1):
             raise ValueError("exponents must lie in [1, inf]")
 
     @property

@@ -182,24 +182,9 @@ def neg_power_integral(field: ScalarField, gamma: float, which: str) -> PowerInt
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    if which not in ("upper", "lower"):
-        raise ValueError("which must be 'upper' or 'lower'")
     if which == "upper" and gamma >= 1:
         raise ValueError("upper version needs gamma < 1 for a finite bound")
-
-    dist = upper_distribution(field)
-    hvol = dist.cell_volume
-    bound = dist.total ** (1.0 - gamma) / (1.0 - gamma) if gamma < 1 else math.inf
-    mu_plus, mu_minus = dist._level_mu()
-
-    if which == "upper":
-        value = float((dist.counts * mu_plus**-gamma).sum() * hvol)
-        holds = value <= bound * (1 + _REL_SLACK)
-        return PowerIntegralResult(value, bound, "<=", bool(holds))
-
-    # mu_minus is 0 exactly at the top level, so the value is +inf >= bound
-    trimmed = float((dist.counts[:-1] * mu_minus[:-1] ** -gamma).sum() * hvol)
-    return PowerIntegralResult(math.inf, bound, ">=", True, trimmed_value=trimmed)
+    return _power_integral(field, -gamma, which)
 
 
 def pos_power_integral(field: ScalarField, r: float, which: str) -> PowerIntegralResult:
@@ -207,20 +192,26 @@ def pos_power_integral(field: ScalarField, r: float, which: str) -> PowerIntegra
     relative to the negative-power case."""
     if not r > 0:
         raise ValueError("r must be positive")
+    return _power_integral(field, r, which)
+
+
+def _power_integral(field: ScalarField, s: float, which: str) -> PowerIntegralResult:
+    """Integral of (mu o f)^s, with mu_plus ("upper") or mu_minus ("lower"),
+    against total^(1+s)/(1+s).  The upper version lies below the bound for
+    s < 0 and above it for s > 0; the lower version the other way round."""
     if which not in ("upper", "lower"):
         raise ValueError("which must be 'upper' or 'lower'")
-
     dist = upper_distribution(field)
-    hvol = dist.cell_volume
-    bound = dist.total ** (1.0 + r) / (1.0 + r)
-    mu_plus, mu_minus = dist._level_mu()
-    if which == "upper":
-        value = float((dist.counts * mu_plus**r).sum() * hvol)
-        holds = value >= bound * (1 - _REL_SLACK)
-        return PowerIntegralResult(value, bound, ">=", bool(holds))
-    value = float((dist.counts * mu_minus**r).sum() * hvol)
-    holds = value <= bound * (1 + _REL_SLACK)
-    return PowerIntegralResult(value, bound, "<=", bool(holds))
+    bound = dist.total ** (1.0 + s) / (1.0 + s) if s > -1 else math.inf
+    mu = dist._level_mu()[which == "lower"]
+    if s < 0 and which == "lower":
+        # mu_minus is 0 exactly at the top level, so the value is +inf >= bound
+        trimmed = float((dist.counts[:-1] * mu[:-1] ** s).sum() * dist.cell_volume)
+        return PowerIntegralResult(math.inf, bound, ">=", True, trimmed_value=trimmed)
+    value = float((dist.counts * mu**s).sum() * dist.cell_volume)
+    if (s < 0) == (which == "upper"):
+        return PowerIntegralResult(value, bound, "<=", bool(value <= bound * (1 + _REL_SLACK)))
+    return PowerIntegralResult(value, bound, ">=", bool(value >= bound * (1 - _REL_SLACK)))
 
 
 def distribution_csv(dist: StepDistribution) -> str:

@@ -28,6 +28,7 @@ __all__ = [
     "sample",
     "gradient",
     "differential",
+    "grad_norm",
     "op_norm",
     "jacobian",
     "integrate",
@@ -35,6 +36,7 @@ __all__ = [
     "sphere_trace",
     "interpolate",
     "sphere_points",
+    "boundary_support_ok",
 ]
 
 

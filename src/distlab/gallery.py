@@ -62,13 +62,11 @@ def make_example(name: str, dim: int = 2, **params) -> Example:
     if unknown:
         listed = ", ".join(map(repr, unknown))
         raise ValueError(f"example {name!r} has no parameter {listed}; its parameters: {', '.join(names) or 'none'}")
-    return builder(dim, params)
+    return Example(name=name, dim=dim, **builder(dim, params))
 
 
 def _identity(dim, params):
-    return Example(
-        name="identity",
-        dim=dim,
+    return dict(
         is_scalar=False,
         evaluator=lambda p: p,
         analytic_k=lambda p: np.ones(len(p)),
@@ -88,9 +86,7 @@ def _linear(dim, params):
     det = float(np.linalg.det(A))
     opn = float(np.linalg.svd(A, compute_uv=False)[0])
     k_const = opn**dim / det if det > 0 else None
-    return Example(
-        name="linear",
-        dim=dim,
+    return dict(
         is_scalar=False,
         evaluator=lambda p: p @ A.T,
         analytic_k=(lambda p: np.full(len(p), k_const)) if k_const is not None else None,
@@ -105,9 +101,7 @@ def _linear(dim, params):
 
 
 def _cone(dim, params):
-    return Example(
-        name="cone",
-        dim=dim,
+    return dict(
         is_scalar=True,
         evaluator=lambda p: 1.0 - _radii(p),
         analytic_k=None,
@@ -129,9 +123,7 @@ def _smooth_bump(dim, params):
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
         return out
 
-    return Example(
-        name="smooth_bump",
-        dim=dim,
+    return dict(
         is_scalar=True,
         evaluator=ev,
         analytic_k=None,
@@ -157,9 +149,7 @@ def _winding(dim, params):
         th = np.arctan2(p[..., 1], p[..., 0])
         return np.stack([r * np.cos(k * th), r * np.sin(k * th)], axis=-1)
 
-    return Example(
-        name="winding",
-        dim=2,
+    return dict(
         is_scalar=False,
         evaluator=ev,
         analytic_k=lambda p: np.full(len(p), float(k)),
@@ -182,9 +172,7 @@ def _radial_power(dim, params):
         return r[..., None] ** (a - 1.0) * p
 
     k_const = a ** (dim - 1)
-    return Example(
-        name="radial_power",
-        dim=dim,
+    return dict(
         is_scalar=False,
         evaluator=ev,
         analytic_k=lambda p: np.full(len(p), k_const),
@@ -213,9 +201,7 @@ def _radial_log(dim, params):
         with np.errstate(divide="ignore"):
             return np.where(r > 0, n * np.log(np.where(r > 0, 1.0 / r, 2.0)), np.inf)
 
-    return Example(
-        name="radial_log",
-        dim=dim,
+    return dict(
         is_scalar=False,
         evaluator=ev,
         analytic_k=k_raw,
@@ -246,9 +232,7 @@ def _x_over_norm(dim, params):
         with np.errstate(divide="ignore"):
             return np.where(r > 0, r ** (-float(dim)), np.inf)
 
-    return Example(
-        name="x_over_norm",
-        dim=dim,
+    return dict(
         is_scalar=False,
         evaluator=ev,
         analytic_k=lambda p: np.ones(len(p)),
@@ -263,7 +247,7 @@ def _x_over_norm(dim, params):
     )
 
 
-# each example's builder and the parameter names it accepts
+# each example's builder (its Example fields but name and dim) and the parameter names it accepts
 _BUILDERS = {
     "identity": (_identity, ()),
     "linear": (_linear, ("A",)),

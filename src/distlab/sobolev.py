@@ -26,6 +26,7 @@ from .fields import ScalarField, boundary_support_ok, grad_norm, integrate
 __all__ = [
     "TOL_REL",
     "TOL_ABS",
+    "holds",
     "InequalityReport",
     "unit_ball_volume",
     "isoperimetric_constant",

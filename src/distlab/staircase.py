@@ -27,6 +27,7 @@ __all__ = [
     "MonotoneFn",
     "StaircaseResult",
     "staircase_approx",
+    "inverse_distribution_fn",
     "max_gap_deviation",
     "staircase_csv",
 ]
@@ -105,21 +106,7 @@ class MonotoneFn:
         finf = self.value_at_infinity
         if math.isinf(finf):
             return math.inf  # a finite s cannot be certified numerically
-        if self.fn(0.0) >= finf:
-            return 0.0
-        hi = 1.0
-        while self.fn(hi) < finf:
-            hi *= 2.0
-            if hi > _HUGE:
-                return math.inf
-        lo = 0.0
-        while hi - lo > _BISECT_REL * max(1.0, hi):
-            mid = 0.5 * (lo + hi)
-            if self.fn(mid) < finf:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return self._analytic_sup(lambda v: v < finf, math.inf)
 
     def _sup_below(self, thr: float, s: float) -> float:
         """sup{t in [0, s] : F(t) <= thr}; the set is non-empty since
@@ -132,12 +119,18 @@ class MonotoneFn:
             return min(raw, s)
         if math.isfinite(s) and self.fn(s) <= thr:
             return s
+        return self._analytic_sup(lambda v: v <= thr, s)
+
+    def _analytic_sup(self, passes: Callable[[float], bool], s: float) -> float:
+        """sup{t in [0, s] : passes(F(t))} for a test that F passes on an
+        initial segment and, when s is finite, fails at s: doubling from
+        min(s, 1), then bisection on [0, hi] (which may end at s itself)."""
         hi = min(s, 1.0)
         prev = self.fn(hi)
-        while prev <= thr:
-            hi = min(2.0 * hi, s) if math.isfinite(s) else 2.0 * hi
-            if hi >= s or hi > _HUGE:
-                return s  # F <= thr all the way out
+        while passes(prev):
+            hi = min(2.0 * hi, s)
+            if hi > _HUGE:
+                return s  # F passes all the way out
             cur = self.fn(hi)
             if cur < prev - 1e-12 * max(1.0, abs(prev)):
                 raise ValueError("probe violation: F is not monotone")
@@ -145,7 +138,7 @@ class MonotoneFn:
         lo = 0.0
         while hi - lo > _BISECT_REL * max(1.0, hi):
             mid = 0.5 * (lo + hi)
-            if self.fn(mid) <= thr:
+            if passes(self.fn(mid)):
                 lo = mid
             else:
                 hi = mid

@@ -544,6 +544,55 @@ def test_analyze_options_rejected_before_derivative_work(tmp_path, capsys, monke
     _fails_with(["analyze", rl, *(a.format(k=k) for a in argv)], capsys, message)
 
 
+CHAIN_16 = ["--chain", "--center", "0,0", "--chain-ball", "0.3"]
+
+
+@pytest.mark.parametrize(
+    "argv, expensive, message",
+    [
+        (["analyze", "{map}", "--p", "0.5"], ["residual_defect"], "exponents must lie in [1, inf]"),
+        (["analyze", "{map}", "--q", "0.5", "--kfield", "{k}"], ["residual_defect"], "exponents must lie in [1, inf]"),
+        (
+            ["monotonicity", "{map}", *CHAIN_16, "--p", "0.5"],
+            ["ball_extrema", "residual_defect"],
+            "exponents must lie in [1, inf]",
+        ),
+        (["sobolev", "{cone}", "--band", "0.5,0.25"], ["sharp_sobolev_check", "superlevel_check"], "need 0 <= a < b"),
+        (
+            ["sobolev", "{cone}", "--band", "0.25,2"],
+            ["sharp_sobolev_check", "superlevel_check"],
+            "b must lie below the field maximum (mu_plus(b) = 0 otherwise)",
+        ),
+    ],
+    ids=["analyze-p", "analyze-q-with-kfield", "chain-p", "band-reversed", "band-above-max"],
+)
+def test_invalid_input_rejected_before_expensive_work(tmp_path, capsys, monkeypatch, argv, expensive, message):
+    cone, rl = _scalar_and_map(tmp_path, capsys)
+    names = {"cone": cone, "map": rl, "k": rl[: -len(".json")] + ".k.json"}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("expensive work ran before the input was rejected")
+
+    for name in expensive:
+        monkeypatch.setattr(cli, name, refuse)
+    _fails_with([a.format(**names) for a in argv], capsys, message)
+
+
+@pytest.mark.parametrize(
+    "center, radius, message",
+    [
+        ("0,0", "0.001", "ball contains no cell centers at this resolution"),
+        ("0.55,0", "0.1", "interpolation point outside the sampled box"),
+    ],
+    ids=["empty", "outside"],
+)
+def test_chain_ball_rejected_before_the_minimal_defect(tmp_path, capsys, monkeypatch, center, radius, message):
+    # the exponent check moved ahead of the ball: the ball's own messages stay
+    _, rl = _scalar_and_map(tmp_path, capsys)
+    monkeypatch.setattr(cli, "residual_defect", lambda *a, **k: pytest.fail("minimal defect before the ball check"))
+    _fails_with(["monotonicity", rl, "--chain", "--center", center, "--chain-ball", radius], capsys, message)
+
+
 def test_exponents_still_take_inf(tmp_path, capsys):
     _, rl = _scalar_and_map(tmp_path, capsys)
     assert main(["analyze", rl, "--p", "inf", "--q", "inf"]) == 0
@@ -623,8 +672,10 @@ def test_field_geometry_of_the_wrong_type_rejected(tmp_path, capsys, key, value,
         (["distribution", "{missing}", "--gammas", "0.5,1.5"], "--gammas entries must lie in (0, 1), got 1.5"),
         (["distribution", "{missing}", "--powers", "1,-2", "--gammas", "0"], "--gammas entries must lie in (0, 1), got 0.0"),
         (["distribution", "{missing}", "--powers", "1,-2"], "--powers entries must be positive, got -2.0"),
+        (["analyze", "{missing}", "--q", "0.5"], "exponents must lie in [1, inf]"),
+        (["monotonicity", "{missing}", "--chain", "--chain-ball", "0.3", "--p=-inf"], "exponents must lie in [1, inf]"),
     ],
-    ids=["chain-ball", "radii", "band-missing", "band-three", "gammas", "gammas-first", "powers"],
+    ids=["chain-ball", "radii", "band-missing", "band-three", "gammas", "gammas-first", "powers", "analyze-q", "chain-p"],
 )
 def test_option_checks_come_before_the_file(tmp_path, capsys, argv, message):
     # the options alone are wrong: the message names the option, not the

@@ -235,6 +235,11 @@ def test_neg_power_invalid_args():
         neg_power_integral(f, math.nan, "upper")
     with pytest.raises(ValueError, match="r must be positive"):
         pos_power_integral(f, math.nan, "upper")
+    # gamma >= 1 is refused only for the upper version, so "middle" still
+    # gets the message about which
+    for integral, exponent in ((neg_power_integral, 0.5), (neg_power_integral, 1.5), (pos_power_integral, 2.0)):
+        with pytest.raises(ValueError, match="which must be 'upper' or 'lower'"):
+            integral(f, exponent, "middle")
 
 
 def test_pos_power_constant_field():

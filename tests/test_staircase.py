@@ -85,6 +85,45 @@ def test_non_monotone_probe_rejected():
         staircase_approx(F, 0.25, 40)
 
 
+def test_analytic_ladder_bisects_below_a_finite_s():
+    # F(s) lies above every threshold below F(inf), so a doubling that
+    # reaches s must bisect there instead of reporting the hit early
+    square = MonotoneFn.analytic(lambda t: min(t * t, 9.0), 9.0)
+    res = staircase_approx(square, 1.0, 4)
+    assert res.case == "interior"
+    assert np.allclose(res.breakpoints, [0.0, 1.0, math.sqrt(2), math.sqrt(3), 2.0], atol=1e-9)
+    ramp = MonotoneFn.analytic(lambda t: min(t, 2.0), 2.0)
+    for F, eps in ((square, 1.0), (ramp, 0.5)):
+        res = staircase_approx(F, eps, 64)
+        assert res.case == "hit"
+        assert max_gap_deviation(F, res) <= eps
+
+
+def test_analytic_s_bisected_for_a_finite_value_at_infinity():
+    assert MonotoneFn.analytic(lambda t: min(t * t, 9.0), 9.0)._sup_of_strict_sublevel() == pytest.approx(3.0)
+    assert MonotoneFn.analytic(lambda t: min(t, 0.25), 0.25)._sup_of_strict_sublevel() == pytest.approx(0.25)
+    assert MonotoneFn.analytic(lambda t: 1.0, 1.0)._sup_of_strict_sublevel() == 0.0
+    assert MonotoneFn.analytic(lambda t: min(t, 2.0), 3.0)._sup_of_strict_sublevel() == math.inf
+
+
+def test_analytic_gap_deviation_probes_eight_points_per_gap():
+    # F(t) = t on unit gaps: the nearest probe below the right end is 1/8 in
+    F = MonotoneFn.analytic(lambda t: t, math.inf)
+    res = staircase_approx(F, 1.0, 5)
+    assert max_gap_deviation(F, res) == pytest.approx(0.875)
+
+
+def test_hit_filler_doubles_out_when_s_is_infinite():
+    # F is flat at 1 from t = 1 on but F(inf) = inf, so s = inf and the
+    # filler steps out by 1, 2, 4, ... from the last rung
+    F = MonotoneFn.analytic(lambda t: min(t, 1.0), math.inf)
+    res = staircase_approx(F, 0.5, 6)
+    assert res.case == "hit"
+    assert math.isinf(res.s)
+    assert np.allclose(res.breakpoints, [0.0, 0.5, 1.5, 2.5, 4.5, 8.5, 16.5], atol=1e-9)
+    assert max_gap_deviation(F, res) <= 0.5
+
+
 def test_tall_jump_fast_forward():
     # a jump 1000x the epsilon must not stall the ladder
     F = MonotoneFn.step([1.0, 2.0], [0.0, 1000.0, 1001.0])
