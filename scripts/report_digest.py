@@ -33,8 +33,10 @@ the masked rows ``differential(vm).entries``, the masked values of
 quotient's defined cells among the map's cells, and the values of
 ``zero_integral_check(vm, 0)`` and of ``weighted_zero_integral_check`` with
 the analytic weight F(t) = t; after each ``scalar-2d-1024`` pass it hashes the masked values of
-``grad_norm`` of the workload's field.  None of these depends on the box the
-map or field lives on.
+``grad_norm`` of the workload's field and its ``verify_level_bounds`` reports
+at 33 evenly spaced a in [0, total] and at the mu_plus and mu_minus values of
+eight of its levels, where the strict and weak comparisons differ.  None of
+these depends on the box the map or field lives on.
 Run it on two trees and diff the outputs: equal lines mean byte-identical
 reports.
 """
@@ -143,6 +145,7 @@ from distlab.distortion import (
 )
 from distlab.staircase import MonotoneFn
 from distlab.fieldio import read_field, write_field
+from distlab.distribution import upper_distribution, verify_level_bounds
 from distlab.fields import differential, grad_norm
 from workloads import WORKLOADS
 
@@ -188,6 +191,12 @@ for name in ("map-3d-96", "scalar-2d-1024"):
                     print(sha(arr.tobytes()), tag, f"{op.name} [{label}]", flush=True)
         if name == "scalar-2d-1024":
             print(sha(grad_norm(w.field).values.tobytes()), tag, "[grad_norm.values]", flush=True)
+            dist = upper_distribution(w.field)
+            levels = dist.levels[np.linspace(0, len(dist.levels) - 1, 8).astype(int)]
+            a_values = [*np.linspace(0.0, dist.total, 33), *dist.mu_plus(levels), *dist.mu_minus(levels)]
+            reports = [(r.a, r.lower_set_measure, r.lower_holds, r.upper_set_measure, r.upper_holds)
+                       for r in verify_level_bounds(w.field, a_values)]
+            print(sha(repr(reports).encode()), tag, "[verify_level_bounds]", flush=True)
 """
 
 

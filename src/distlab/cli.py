@@ -43,6 +43,7 @@ from .gallery import (
     sample_map,
 )
 from .monotonicity import (
+    _chain_gamma,
     awm_defect,
     ball_extrema,
     dyadic_osc_integral,
@@ -246,6 +247,8 @@ def parse_command(argv: list[str]) -> CommandPlan:
     if sub == "analyze" or (sub == "monotonicity" and opts["chain"]):
         try:
             DistortionData.check_exponents(opts["p"], opts["q"])
+            if sub == "monotonicity":
+                _chain_gamma(opts["p"], opts["q"], opts["gamma"])
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     if sub == "sobolev":
@@ -419,16 +422,11 @@ def _cmd_distribution(plan: CommandPlan) -> int:
         avals = [0.0, total / 4, total / 2, 3 * total / 4, total]
     bounds = verify_level_bounds(field, avals)
 
-    neg = []
-    for gamma in opts["gammas"]:
-        up = neg_power_integral(field, gamma, "upper")
-        lo = neg_power_integral(field, gamma, "lower")
-        neg.append({"gamma": gamma, "upper": up.as_dict(), "lower": lo.as_dict()})
-    pos = []
-    for r in opts["powers"]:
-        up = pos_power_integral(field, r, "upper")
-        lo = pos_power_integral(field, r, "lower")
-        pos.append({"r": r, "upper": up.as_dict(), "lower": lo.as_dict()})
+    def integrals(fn, key: str, exponents: list[float]) -> list[dict]:
+        return [{key: e, **{w: fn(field, e, w).as_dict() for w in ("upper", "lower")}} for e in exponents]
+
+    neg = integrals(neg_power_integral, "gamma", opts["gammas"])
+    pos = integrals(pos_power_integral, "r", opts["powers"])
 
     all_hold = (
         cavalieri_ok

@@ -335,7 +335,5 @@ def normalize_low_distortion(data: DistortionData) -> DistortionData:
 
 def violations_csv(report: DistortionReport) -> str:
     """Per-cell violation rows (masked-cell index, lhs, rhs)."""
-    lines = ["cell_index,lhs,rhs"]
-    for i, l, r in zip(report.violation_indices, report.violation_lhs, report.violation_rhs):
-        lines.append(f"{int(i)},{float(l)!r},{float(r)!r}")
-    return "\n".join(lines) + "\n"
+    rows = zip(report.violation_indices, report.violation_lhs, report.violation_rhs)
+    return "cell_index,lhs,rhs\n" + "".join(f"{int(i)},{float(l)!r},{float(r)!r}\n" for i, l, r in rows)

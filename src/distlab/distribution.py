@@ -77,14 +77,14 @@ class StepDistribution:
 
     def mu_plus(self, t) -> np.ndarray | float:
         """Measure of the weak superlevel set {value >= t}."""
-        idx = np.searchsorted(self.levels, t, side="left")
-        out = self._tail_counts[idx] * self.cell_volume
-        return float(out) if np.isscalar(t) else out
+        return self._mu(t, "left")
 
     def mu_minus(self, t) -> np.ndarray | float:
         """Measure of the strict superlevel set {value > t}."""
-        idx = np.searchsorted(self.levels, t, side="right")
-        out = self._tail_counts[idx] * self.cell_volume
+        return self._mu(t, "right")
+
+    def _mu(self, t, side: str) -> np.ndarray | float:
+        out = self._tail_counts[np.searchsorted(self.levels, t, side=side)] * self.cell_volume
         return float(out) if np.isscalar(t) else out
 
     def _level_mu(self) -> tuple[np.ndarray, np.ndarray]:
@@ -93,13 +93,31 @@ class StepDistribution:
         return tails[:-1], tails[1:]
 
 
-def upper_distribution(field: ScalarField) -> StepDistribution:
-    """Levels and counts of a nonnegative sampled field."""
-    vals = field.values
-    if (vals < 0).any():
+def _run_starts(s: np.ndarray) -> np.ndarray:
+    """Where each run of equal values starts in the sorted field values ``s``, then
+    ``len(s)``; a negative minimum ``s[0]`` rejects the field."""
+    if s[0] < 0:
         raise ValueError("distribution functions require a nonnegative field")
-    levels, counts = np.unique(vals, return_counts=True)
-    return StepDistribution(levels, counts, field.grid.cell_volume)
+    return np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1], [True])))
+
+
+def upper_distribution(field: ScalarField) -> StepDistribution:
+    """Levels and counts of a nonnegative sampled field (those of ``np.unique``)."""
+    s = field.values
+    s.sort()
+    starts = _run_starts(s)
+    return StepDistribution(s[starts[:-1]], np.diff(starts), field.grid.cell_volume)
+
+
+def _mu_plus_of_cells(field: ScalarField) -> np.ndarray:
+    """``mu_plus`` of every masked value, in cell order, from one sort: a cell in
+    the run that starts at sorted index k has N - k cells at or above it."""
+    vals = field.values
+    order = np.argsort(vals)
+    starts = _run_starts(vals[order])
+    out = np.empty(len(vals))
+    out[order] = (len(vals) - np.repeat(starts[:-1], np.diff(starts))) * field.grid.cell_volume
+    return out
 
 
 def cavalieri_residual(field: ScalarField) -> tuple[float, float, float]:
@@ -137,14 +155,14 @@ def verify_level_bounds(field: ScalarField, a_values) -> list[LevelBoundReport]:
     """
     dist = upper_distribution(field)
     hvol = dist.cell_volume
-    mu_plus, mu_minus = dist._level_mu()
+    # both measures fall with the level: the levels that pass are a suffix, found in the negated measures
+    neg_plus, neg_minus = (-mu for mu in dist._level_mu())
     reports = []
     for a in np.atleast_1d(np.asarray(a_values, dtype=float)):
         if a < 0 or a > dist.total:
             raise ValueError(f"a = {a} outside [0, {dist.total}]")
-        # cell counts: sums of the level counts over the levels that pass
-        lower_meas = int(dist.counts[mu_minus <= a].sum()) * hvol
-        upper_meas = int(dist.counts[mu_plus < a].sum()) * hvol
+        lower_meas = int(dist._tail_counts[np.searchsorted(neg_minus, -a, "left")]) * hvol  # mu_minus <= a
+        upper_meas = int(dist._tail_counts[np.searchsorted(neg_plus, -a, "right")]) * hvol  # mu_plus < a
         reports.append(
             LevelBoundReport(
                 a=float(a),
@@ -216,18 +234,11 @@ def _power_integral(field: ScalarField, s: float, which: str) -> PowerIntegralRe
 
 def distribution_csv(dist: StepDistribution) -> str:
     """Two-column CSV of the step representation."""
-    lines = ["level,mass"]
-    for lv, ms in zip(dist.levels, dist.masses):
-        lines.append(f"{float(lv)!r},{float(ms)!r}")
-    return "\n".join(lines) + "\n"
+    return "level,mass\n" + "".join(f"{float(lv)!r},{float(ms)!r}\n" for lv, ms in zip(dist.levels, dist.masses))
 
 
 def curves_csv(dist: StepDistribution, ts) -> str:
     """Evaluated curves (t, mu_plus, mu_minus) on a user-supplied t-grid."""
     ts = np.asarray(ts, dtype=float)
-    up = dist.mu_plus(ts)
-    lo = dist.mu_minus(ts)
-    lines = ["t,mu_plus,mu_minus"]
-    for t, u, l in zip(ts, up, lo):
-        lines.append(f"{float(t)!r},{float(u)!r},{float(l)!r}")
-    return "\n".join(lines) + "\n"
+    rows = zip(ts, dist.mu_plus(ts), dist.mu_minus(ts))
+    return "t,mu_plus,mu_minus\n" + "".join(f"{float(t)!r},{float(u)!r},{float(l)!r}\n" for t, u, l in rows)

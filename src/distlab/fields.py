@@ -476,9 +476,14 @@ def differential(vm: VectorMap) -> MatrixField:
 
 def grad_norm(field: ScalarField) -> ScalarField:
     """Euclidean norm of the finite-difference gradient."""
+    return ScalarField.from_values(field.grid, _grad_norm_values(field), nonnegative=True)
+
+
+def _grad_norm_values(field: ScalarField) -> np.ndarray:
+    """The masked values of :func:`grad_norm`, without its box."""
     with np.errstate(over="ignore"):  # an overflow is rejected as non-finite
         (norm,) = _cellwise(field.grid, [field.data], lambda m: np.sqrt(sum(p * p for p in m[0])))
-    return ScalarField.from_values(field.grid, norm, nonnegative=True)
+    return _finite(norm)
 
 
 def _sym3_eig_max(a11, a22, a33, a12, a13, a23):

@@ -214,10 +214,7 @@ class ChainLedger:
         return out
 
     def csv(self) -> str:
-        lines = ["name,lhs,rhs,holds"]
-        for c in self.checks:
-            lines.append(f"{c.name},{c.lhs!r},{c.rhs!r},{c.holds}")
-        return "\n".join(lines) + "\n"
+        return "name,lhs,rhs,holds\n" + "".join(f"{c.name},{c.lhs!r},{c.rhs!r},{c.holds}\n" for c in self.checks)
 
 
 _CHAIN_NAMES = (
@@ -229,6 +226,18 @@ _CHAIN_NAMES = (
     "d_final_bound",
     "negative_part",
 )
+
+
+def _chain_gamma(p: float, q: float, gamma: float | None) -> float:
+    """``gamma`` checked to lie in (1/p, 1 - 1/q), by default its midpoint; needs 1/p + 1/q < 1."""
+    lo, hi = _inv(p), 1.0 - _inv(q)
+    if not lo + _inv(q) < 1.0:
+        raise ValueError("inadmissible exponents: need 1/p + 1/q < 1")
+    if gamma is None:
+        return 0.5 * (lo + hi)
+    if not lo < gamma < hi:
+        raise ValueError(f"gamma must lie in ({lo}, {hi})")
+    return gamma
 
 
 def sup_bound_chain(
@@ -249,19 +258,13 @@ def sup_bound_chain(
     on the negative Jacobian part, and the final assembled estimate with
     an explicit constant.  An empty truncation yields the trivial ledger.
     """
-    if not data.admissible:
-        raise ValueError("inadmissible exponents: need 1/p + 1/q < 1")
+    p, q = data.p, data.q
+    gamma = _chain_gamma(p, q, gamma)
     if not data.k_at_least_one:
         raise ValueError("the chain needs K >= 1 cellwise")
     grid = vm.grid
     _require_map_grid(vm, K=data.K, Sigma=data.Sigma)
     n = grid.dim
-    p, q = data.p, data.q
-    lo, hi = _inv(p), 1.0 - _inv(q)
-    if gamma is None:
-        gamma = 0.5 * (lo + hi)
-    elif not lo < gamma < hi:
-        raise ValueError(f"gamma must lie in ({lo}, {hi})")
 
     K = data.K.values
     Sigma = data.Sigma.values

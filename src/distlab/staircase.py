@@ -263,7 +263,4 @@ def max_gap_deviation(F: MonotoneFn, result: StaircaseResult) -> float:
 
 def staircase_csv(F: MonotoneFn, result: StaircaseResult) -> str:
     """CSV rows (i, t_i, F(t_i))."""
-    lines = ["i,t,F"]
-    for i, t in enumerate(result.breakpoints):
-        lines.append(f"{i},{float(t)!r},{float(F(t))!r}")
-    return "\n".join(lines) + "\n"
+    return "i,t,F\n" + "".join(f"{i},{float(t)!r},{float(F(t))!r}\n" for i, t in enumerate(result.breakpoints))

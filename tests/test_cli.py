@@ -557,6 +557,16 @@ CHAIN_16 = ["--chain", "--center", "0,0", "--chain-ball", "0.3"]
             ["ball_extrema", "residual_defect"],
             "exponents must lie in [1, inf]",
         ),
+        (
+            ["monotonicity", "{map}", *CHAIN_16, "--p", "2", "--q", "2"],
+            ["ball_extrema", "residual_defect"],
+            "inadmissible exponents: need 1/p + 1/q < 1",
+        ),
+        (
+            ["monotonicity", "{map}", *CHAIN_16, "--p", "4", "--q", "4", "--gamma", "0.9"],
+            ["ball_extrema", "residual_defect"],
+            "gamma must lie in (0.25, 0.75)",
+        ),
         (["sobolev", "{cone}", "--band", "0.5,0.25"], ["sharp_sobolev_check", "superlevel_check"], "need 0 <= a < b"),
         (
             ["sobolev", "{cone}", "--band", "0.25,2"],
@@ -564,7 +574,8 @@ CHAIN_16 = ["--chain", "--center", "0,0", "--chain-ball", "0.3"]
             "b must lie below the field maximum (mu_plus(b) = 0 otherwise)",
         ),
     ],
-    ids=["analyze-p", "analyze-q-with-kfield", "chain-p", "band-reversed", "band-above-max"],
+    ids=["analyze-p", "analyze-q-with-kfield", "chain-p", "chain-inadmissible", "chain-gamma", "band-reversed",
+         "band-above-max"],
 )
 def test_invalid_input_rejected_before_expensive_work(tmp_path, capsys, monkeypatch, argv, expensive, message):
     cone, rl = _scalar_and_map(tmp_path, capsys)
