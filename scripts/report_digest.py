@@ -13,7 +13,10 @@ chain, and the exit-1 paths for a file of the wrong kind, a missing
 map, a non-finite or negative number, and a ``--center`` or ``--y0`` of
 the wrong length, an unknown ``--params`` name, an option that is wrong on
 its own with a missing file, and ``cone.json`` with a geometry key of the
-wrong JSON type, and a ``--params`` key given twice; plus ``sobolev rl.k.json``,
+wrong JSON type, and a ``--params`` key given twice, each ``monotonicity`` mode
+given an option of the other, option values the library rejects (``--osc-levels``,
+``--samples``, ``--epsilon``, ``--max-steps``), and a K file and a field file
+whose finite values overflow an L^p norm; plus ``sobolev rl.k.json``,
 whose support warning exits 2; plus ``radial_log`` exported at 48^3, two
 sampling slabs, and its ``--y0`` check with the violation rows of several
 derivative blocks; plus every other catalog example exported at 32^2 and,
@@ -115,6 +118,19 @@ COMMANDS = [
     (["distribution", "missing.json", "--powers", "1,-2"], []),
     # exit-1 path: a --params key given twice
     (["modulus", "--example", "winding", "--params", "k=2,k=3", "--radii", "0.1,0.2"], []),
+    # exit-1 paths: each monotonicity mode given an option of the other
+    (["monotonicity", "cone.json", "--radii", "0.1,0.2", "--p", "0.5", "--gamma", "7", "--kfield", "nothere.json",
+      "--level", "3", "--chain-ball", "2", "--component", "9", "--mode", "below"], []),
+    (CHAIN + ["--radii", "0.1,0.2"], []),
+    (CHAIN + ["--osc-levels", "6"], []),
+    (CHAIN + ["--osc-R", "0.2"], []),
+    # exit-1 paths: option values the library rejects, named before the file is read
+    (["monotonicity", "cone.json", "--center", "0,0", "--radii", "0.1,0.2", "--osc-levels", "1"], []),
+    (["monotonicity", "cone.json", "--center", "0,0", "--radii", "0.1,0.2", "--samples", "7"], []),
+    (CHAIN + ["--samples", "7"], []),
+    (["modulus", "rl.json", "--center", "0,0", "--radii", "0.01,0.02", "--samples", "4"], []),
+    (["staircase", "cone.json", "--gamma", "0.5", "--epsilon", "0"], []),
+    (["staircase", "cone.json", "--gamma", "0.5", "--epsilon", "0.4", "--max-steps", "0"], []),
     # a 3-D export sampled in two slabs, and its violations spread over several derivative blocks
     (["gallery", "--export", "radial_log", "--dim", "3", "--resolution", "48", "--with-data", "--out", "rl3.json"],
      ["rl3.json", "rl3.k.json", "rl3.sigma.json"]),
@@ -134,6 +150,13 @@ for name, data, dims in [("identity", True, (2, 3)), ("linear", True, (2, 3)), (
 
 # exit-1 paths: cone.json with one geometry key of the wrong JSON type
 GEOMETRY = [("shape", [256.7, 256.2]), ("dim", 2.9), ("shape", ["256", "256"]), ("spacing", "0.0078125")]
+
+# exit-1 paths: a copy of a field file with every value set to a finite number whose L^p norm overflows
+SCALED = [
+    ("rl.k.json", 1e100, ["analyze", "rl.json", "--kfield", "{file}", "--sigmafield", "rl.sigma.json", "--p", "4",
+                          "--q", "4"]),
+    ("cone.json", 1e300, ["sobolev", "{file}", "--check", "sharp"]),
+]
 
 
 # the field-file round trip, then one pass of each library workload at seed 5; argv[1] is SRC
@@ -232,6 +255,14 @@ def main(argv: list[str]) -> int:
             argv = [sys.executable, "-m", "distlab.cli", "sobolev", f"geometry{i}.json"]
             proc = subprocess.run(argv, cwd=work, env=env, capture_output=True)
             shown = f"distlab sobolev geometry{i}.json (cone.json with {key} {json.dumps(value)})"
+            print(proc.returncode, _sha(proc.stdout + proc.stderr), shown, flush=True)
+        for i, (name, value, args) in enumerate(SCALED):
+            doc = json.loads(pathlib.Path(work, name).read_text())
+            doc["values"] = [None if v is None else value for v in doc["values"]]
+            pathlib.Path(work, f"scaled{i}.json").write_text(json.dumps(doc))
+            args = [a.format(file=f"scaled{i}.json") for a in args]
+            proc = subprocess.run([sys.executable, "-m", "distlab.cli", *args], cwd=work, env=env, capture_output=True)
+            shown = f"distlab {' '.join(args)} (scaled{i}.json: {name} with every value {value!r})"
             print(proc.returncode, _sha(proc.stdout + proc.stderr), shown, flush=True)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(PERFBENCH)]), PYTHONDONTWRITEBYTECODE="1")
         proc = subprocess.run([sys.executable, "-c", LIBRARY, src], cwd=work, env=env, text=True, capture_output=True)

@@ -25,6 +25,7 @@ from .distortion import (
     violations_csv,
 )
 from .distribution import (
+    _REL_SLACK,
     cavalieri_residual,
     curves_csv,
     distribution_csv,
@@ -34,7 +35,7 @@ from .distribution import (
     verify_level_bounds,
 )
 from .fieldio import FieldFormatError, read_field, write_field
-from .fields import Ball, Grid, ScalarField, VectorMap, _same_lattice, interpolate
+from .fields import Ball, Grid, ScalarField, VectorMap, _check_samples, _same_lattice, interpolate
 from .gallery import (
     list_examples,
     make_example,
@@ -43,7 +44,9 @@ from .gallery import (
     sample_map,
 )
 from .monotonicity import (
+    _SUPPORT_STEPS,
     _chain_gamma,
+    _check_levels,
     awm_defect,
     ball_extrema,
     dyadic_osc_integral,
@@ -54,6 +57,7 @@ from .monotonicity import (
 )
 from .sobolev import band_bound_check, sharp_sobolev_check, superlevel_check
 from .staircase import (
+    _check_ladder,
     inverse_distribution_fn,
     max_gap_deviation,
     staircase_approx,
@@ -194,15 +198,15 @@ def _build_parser() -> _Parser:
     m.add_argument("--center", type=_floats, default=None)
     m.add_argument("--radii", type=_floats, default=None)
     m.add_argument("--samples", type=int, default=None)
-    m.add_argument("--osc-levels", type=int, default=6)
+    m.add_argument("--osc-levels", type=int, default=None)
     m.add_argument("--osc-R", type=_number, default=None)
     m.add_argument("--chain", action="store_true")
     m.add_argument("--chain-ball", type=_number, default=None, help="radius of the chain ball around --center")
-    m.add_argument("--component", type=int, default=0)
+    m.add_argument("--component", type=int, default=None)
     m.add_argument("--level", type=_number, default=None, help="truncation level (default: sphere-trace extremum)")
-    m.add_argument("--mode", choices=("above", "below"), default="above")
-    m.add_argument("--p", type=_exponent, default=4.0)
-    m.add_argument("--q", type=_exponent, default=4.0)
+    m.add_argument("--mode", choices=("above", "below"), default=None)
+    m.add_argument("--p", type=_exponent, default=None)
+    m.add_argument("--q", type=_exponent, default=None)
     m.add_argument("--gamma", type=_number, default=None)
     m.add_argument("--kfield", default=None)
     m.add_argument("--sigmafield", default=None)
@@ -220,6 +224,15 @@ def _build_parser() -> _Parser:
     common(o)
 
     return parser
+
+
+# by --chain: the monotonicity options of the other mode, and why they are refused
+_OTHER_MODE = {
+    False: (("chain_ball", "component", "level", "mode", "p", "q", "gamma", "kfield", "sigmafield"),
+            "needs --chain; the defect sweep does not use it"),
+    True: (("radii", "osc_levels", "osc_R"), "acts only in the defect sweep; --chain does not use it"),
+}
+_MODE_DEFAULTS = {"component": 0, "mode": "above", "p": 4.0, "q": 4.0, "osc_levels": 6}
 
 
 def parse_command(argv: list[str]) -> CommandPlan:
@@ -240,17 +253,27 @@ def parse_command(argv: list[str]) -> CommandPlan:
         raise UsageError("modulus needs exactly one of a map file or --example NAME")
     if sub == "monotonicity" and fmt == "csv" and not opts["chain"]:
         raise UsageError("--format csv needs --chain; the defect sweep prints JSON only")
+    if sub == "monotonicity":
+        keys, why = _OTHER_MODE[opts["chain"]]
+        if given := [key for key in keys if opts[key] is not None]:
+            raise UsageError(f"--{given[0].replace('_', '-')} {why}")
+        opts.update({key: v for key, v in _MODE_DEFAULTS.items() if opts[key] is None})
     if sub == "monotonicity" and opts["chain"] and opts["chain_ball"] is None:
         raise UsageError("--chain needs --chain-ball R")
     if sub == "monotonicity" and not opts["chain"] and opts["radii"] is None:
         raise UsageError("the defect sweep needs --radii a,b,c")
-    if sub == "analyze" or (sub == "monotonicity" and opts["chain"]):
-        try:
+    try:  # the library's own checks of the values that need no file
+        if sub in ("analyze", "monotonicity"):
             DistortionData.check_exponents(opts["p"], opts["q"])
-            if sub == "monotonicity":
-                _chain_gamma(opts["p"], opts["q"], opts["gamma"])
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        if sub == "monotonicity":  # the other mode's options are at their (valid) defaults
+            _chain_gamma(opts["p"], opts["q"], opts["gamma"])
+            _check_levels(opts["osc_levels"])
+        if sub in ("monotonicity", "modulus") and opts["samples"] is not None:
+            _check_samples(opts["samples"])
+        if sub == "staircase":
+            _check_ladder(opts["epsilon"], opts["max_steps"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if sub == "sobolev":
         band = opts["check"] == "band" or (opts["check"] == "all" and opts["band"] is not None)
         if band and (opts["band"] is None or len(opts["band"]) != 2):
@@ -415,7 +438,7 @@ def _cmd_distribution(plan: CommandPlan) -> int:
 
     integral, area_up, area_lo = cavalieri_residual(field)
     scale = max(abs(integral), 1e-30)
-    cavalieri_ok = abs(area_up - integral) <= 1e-12 * scale and abs(area_lo - integral) <= 1e-12 * scale
+    cavalieri_ok = abs(area_up - integral) <= _REL_SLACK * scale and abs(area_lo - integral) <= _REL_SLACK * scale
 
     avals = opts["avalues"]
     if avals is None:
@@ -477,7 +500,7 @@ def _cmd_staircase(plan: CommandPlan) -> int:
     F = inverse_distribution_fn(field, opts["gamma"])
     result = staircase_approx(F, opts["epsilon"], opts["max_steps"])
     deviation = max_gap_deviation(F, result)
-    ok = deviation <= opts["epsilon"] * (1 + 1e-12)
+    ok = deviation <= opts["epsilon"] * (1 + _REL_SLACK)
     if plan.fmt == "csv":
         _emit(plan, staircase_csv(F, result))
     else:
@@ -532,7 +555,7 @@ def _cmd_monotonicity(plan: CommandPlan) -> int:
         else:
             _emit_json(plan, doc)
         # without compact support the steps that assume it are not claimed
-        excused = ("a_superlevel", "c_energy_bound", "d_final_bound") if ledger.support_warning else ()
+        excused = _SUPPORT_STEPS if ledger.support_warning else ()
         return 2 if any(not c.holds and c.name not in excused for c in ledger.checks) else 0
 
     radii = sorted(opts["radii"])

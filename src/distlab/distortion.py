@@ -30,6 +30,7 @@ from .fields import (
     _det,
     _finite,
     _lives_on,
+    _lp,
     _same_lattice,
     _smax,
     boundary_support_ok,
@@ -84,7 +85,7 @@ class DistortionData:
 
     @property
     def admissible(self) -> bool:
-        return _inv(self.p) + _inv(self.q) < 1.0
+        return _admissible(self.p, self.q)
 
     @property
     def k_at_least_one(self) -> bool:
@@ -95,13 +96,9 @@ def _inv(p: float) -> float:
     return 0.0 if math.isinf(p) else 1.0 / p
 
 
-def _lp(vals: np.ndarray, p: float, hvol: float) -> float:
-    """L^p norm of nonnegative cell values on the sampled measure; the
-    essential sup is the max.  ``vals`` is overwritten."""
-    if math.isinf(p):
-        return float(vals.max())
-    vals **= p
-    return float(vals.sum() * hvol) ** (1.0 / p)
+def _admissible(p: float, q: float) -> bool:
+    """The integrability condition 1/p + 1/q < 1 on the exponents of K and Sigma."""
+    return _inv(p) + _inv(q) < 1.0
 
 
 def _require_map_grid(vm: VectorMap, **data: ScalarField) -> None:

@@ -110,13 +110,17 @@ def upper_distribution(field: ScalarField) -> StepDistribution:
 
 
 def _mu_plus_of_cells(field: ScalarField) -> np.ndarray:
-    """``mu_plus`` of every masked value, in cell order, from one sort: a cell in
-    the run that starts at sorted index k has N - k cells at or above it."""
+    """``mu_plus`` of every masked value, in cell order, from one sort of the
+    nonzero values: a zero cell has all N cells at or above it, and a nonzero
+    cell in the run that starts at sorted index k has M - k of the M nonzero ones."""
     vals = field.values
-    order = np.argsort(vals)
-    starts = _run_starts(vals[order])
-    out = np.empty(len(vals))
-    out[order] = (len(vals) - np.repeat(starts[:-1], np.diff(starts))) * field.grid.cell_volume
+    hvol = field.grid.cell_volume
+    out = np.full(len(vals), len(vals) * hvol)
+    nz = np.flatnonzero(vals)
+    if len(nz):
+        nz = nz[np.argsort(vals[nz])]  # in value order; a negative value is nonzero and rejected next
+        starts = _run_starts(vals[nz])
+        out[nz] = (len(nz) - np.repeat(starts[:-1], np.diff(starts))) * hvol
     return out
 
 

@@ -559,6 +559,18 @@ def integrate(field: ScalarField) -> float:
     return float(field.values.sum() * field.grid.cell_volume)
 
 
+def _lp(vals: np.ndarray, p: float, hvol: float) -> float:
+    """L^p norm of nonnegative cell values of mass ``hvol`` by the midpoint rule;
+    the essential sup is the max.  ``vals`` is overwritten.  Powers or sums
+    that overflow raise the masked-field error."""
+    if math.isinf(p):
+        return float(vals.max())
+    with np.errstate(over="ignore"):
+        vals **= p
+        total = _finite(vals.sum() * hvol)
+    return float(total) ** (1.0 / p)
+
+
 def truncate(field: ScalarField, level: float, mode: str) -> ScalarField:
     """Nonnegative truncation: ``above`` gives (f - level)^+, ``below`` (level - f)^+."""
     if mode == "above":
@@ -594,13 +606,18 @@ def interpolate(field: ScalarField, points: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _check_samples(samples: int) -> None:
+    """A sphere is sampled at 8 points or more."""
+    if samples < 8:
+        raise ValueError("need at least 8 sphere samples")
+
+
 def sphere_points(ball: Ball, samples: int) -> np.ndarray:
     """Deterministic quadrature points on a sphere: uniform angles (dim 2)
     or a Fibonacci lattice (dim 3)."""
     if ball.dim not in (2, 3):
         raise ValueError("sphere points need a 2-D or 3-D ball")
-    if samples < 8:
-        raise ValueError("need at least 8 sphere samples")
+    _check_samples(samples)
     c = np.asarray(ball.center, dtype=float)
     r = ball.radius
     if ball.dim == 2:

@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .distribution import upper_distribution
-from .distortion import DistortionData, _inv, _lp, _require_map_grid, lebesgue_norm
+from .distribution import _mu_plus_of_cells
+from .distortion import DistortionData, _admissible, _inv, _require_map_grid, lebesgue_norm
 from .fields import (
     Ball,
     ScalarField,
@@ -27,6 +27,7 @@ from .fields import (
     _cellwise,
     _det,
     _evaluate,
+    _lp,
     boundary_support_ok,
     sphere_points,
     sphere_trace,
@@ -159,6 +160,12 @@ def essosc_profile(field: ScalarField, center, radii) -> list[tuple[float, float
     return out
 
 
+def _check_levels(levels: int) -> None:
+    """The dyadic sum needs at least two radii."""
+    if levels < 2:
+        raise ValueError("need at least 2 dyadic levels")
+
+
 def dyadic_osc_integral(field: ScalarField, center, R: float, levels: int) -> float:
     """log-dyadic sum of essosc(R 2^-j)^n, the discrete form of the
     oscillation integral int_0^R essosc(r)^n dr/r.
@@ -166,8 +173,7 @@ def dyadic_osc_integral(field: ScalarField, center, R: float, levels: int) -> fl
     Fields whose oscillation does not decay make the partial sums grow
     linearly in ``levels``; decaying oscillation gives a Cauchy tail.
     """
-    if levels < 2:
-        raise ValueError("need at least 2 dyadic levels")
+    _check_levels(levels)
     n = field.grid.dim
     radii = [R * 2.0**-j for j in range(levels)]
     profile = essosc_profile(field, center, radii)
@@ -226,12 +232,13 @@ _CHAIN_NAMES = (
     "d_final_bound",
     "negative_part",
 )
+_SUPPORT_STEPS = ("a_superlevel", "c_energy_bound", "d_final_bound")  # claimed only under compact support
 
 
 def _chain_gamma(p: float, q: float, gamma: float | None) -> float:
     """``gamma`` checked to lie in (1/p, 1 - 1/q), by default its midpoint; needs 1/p + 1/q < 1."""
     lo, hi = _inv(p), 1.0 - _inv(q)
-    if not lo + _inv(q) < 1.0:
+    if not _admissible(p, q):
         raise ValueError("inadmissible exponents: need 1/p + 1/q < 1")
     if gamma is None:
         return 0.5 * (lo + hi)
@@ -319,7 +326,7 @@ def sup_bound_chain(
         gn, Jg = (np.where(support, v, 0.0) for v in vals)
 
         hvol = grid.cell_volume
-        mu_of = upper_distribution(phi).mu_plus(phi.values)
+        mu_of = _mu_plus_of_cells(phi)
 
         G = float((gn * mu_of ** (-(n - 1.0) / n)).sum() * hvol)
         energy = float((gn**n / (K * mu_of**gamma)).sum() * hvol)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import _mu_plus_of_cells
-from .fields import ScalarField, _grad_norm_values, boundary_support_ok
+from .fields import ScalarField, _grad_norm_values, _lp, boundary_support_ok
 
 __all__ = [
     "TOL_REL",
@@ -102,8 +102,7 @@ def sharp_sobolev_check(field: ScalarField) -> InequalityReport:
     """(int |f|^{n/(n-1)})^{(n-1)/n} against c_n * int |grad f|."""
     grid = field.grid
     n = grid.dim
-    p = n / (n - 1.0)
-    lhs = float((np.abs(field.values) ** p).sum() * grid.cell_volume) ** (1.0 / p)
+    lhs = _lp(np.abs(field.values), n / (n - 1.0), grid.cell_volume)
     rhs = isoperimetric_constant(n) * float(_grad_norm_values(field).sum() * grid.cell_volume)
     return _report("sharp_sobolev", field, lhs, rhs)
 

@@ -155,15 +155,20 @@ class StaircaseResult:
     epsilon: float
 
 
+def _check_ladder(epsilon: float, max_steps: int) -> None:
+    """The rung height must be positive and the ladder at least one step long."""
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    if max_steps < 1:
+        raise ValueError("max_steps must be at least 1")
+
+
 def staircase_approx(F: MonotoneFn, epsilon: float, max_steps: int) -> StaircaseResult:
     """Emit up to ``max_steps`` breakpoints after t_0 = 0.
 
     The prefix is deterministic: raising ``max_steps`` only appends.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
+    _check_ladder(epsilon, max_steps)
     f0 = F(0.0)
     if math.isinf(f0):
         raise ValueError("F(0) must be finite")

@@ -685,13 +685,95 @@ def test_field_geometry_of_the_wrong_type_rejected(tmp_path, capsys, key, value,
         (["distribution", "{missing}", "--powers", "1,-2"], "--powers entries must be positive, got -2.0"),
         (["analyze", "{missing}", "--q", "0.5"], "exponents must lie in [1, inf]"),
         (["monotonicity", "{missing}", "--chain", "--chain-ball", "0.3", "--p=-inf"], "exponents must lie in [1, inf]"),
+        (["monotonicity", "{missing}", "--radii", "0.1,0.2", "--osc-levels", "1"], "need at least 2 dyadic levels"),
+        (["monotonicity", "{missing}", "--radii", "0.1,0.2", "--samples", "7"], "need at least 8 sphere samples"),
+        (["monotonicity", "{missing}", "--chain", "--chain-ball", "0.3", "--samples", "0"],
+         "need at least 8 sphere samples"),
+        (["modulus", "{missing}", "--radii", "0.1,0.2", "--samples", "4"], "need at least 8 sphere samples"),
+        (["staircase", "{missing}", "--gamma", "0.5", "--epsilon", "0"], "epsilon must be positive"),
+        (["staircase", "{missing}", "--gamma", "0.5", "--epsilon", "-1", "--max-steps", "0"], "epsilon must be positive"),
+        (["staircase", "{missing}", "--gamma", "0.5", "--epsilon", "0.4", "--max-steps", "0"],
+         "max_steps must be at least 1"),
     ],
-    ids=["chain-ball", "radii", "band-missing", "band-three", "gammas", "gammas-first", "powers", "analyze-q", "chain-p"],
+    ids=["chain-ball", "radii", "band-missing", "band-three", "gammas", "gammas-first", "powers", "analyze-q", "chain-p",
+         "osc-levels", "sweep-samples", "chain-samples", "modulus-samples", "epsilon", "epsilon-first", "max-steps"],
 )
 def test_option_checks_come_before_the_file(tmp_path, capsys, argv, message):
     # the options alone are wrong: the message names the option, not the
     # missing file, and nothing is read
     _fails_with([a.format(missing=tmp_path / "missing.json") for a in argv], capsys, message)
+
+
+CHAIN_ONLY = [
+    ["--chain-ball", "2"],
+    ["--component", "0"],
+    ["--level", "3"],
+    ["--mode", "above"],
+    ["--p", "4"],
+    ["--q", "0.5"],
+    ["--gamma", "7"],
+    ["--kfield", "nothere.json"],
+    ["--sigmafield", "nothere.json"],
+]
+
+
+@pytest.mark.parametrize("option", CHAIN_ONLY, ids=[o[0] for o in CHAIN_ONLY])
+def test_the_sweep_rejects_chain_options(tmp_path, capsys, option):
+    # the sweep used to accept and ignore them, even at their defaults
+    argv = ["monotonicity", str(tmp_path / "missing.json"), "--radii", "0.1,0.2", *option]
+    _fails_with(argv, capsys, f"{option[0]} needs --chain; the defect sweep does not use it")
+
+
+def test_the_sweep_names_the_first_chain_option(tmp_path, capsys):
+    argv = ["monotonicity", cone_file(tmp_path, 16), "--radii", "0.1,0.2", "--p", "0.5", "--gamma", "7", "--kfield",
+            "nothere.json", "--level", "3", "--chain-ball", "2", "--component", "9", "--mode", "below"]
+    _fails_with(argv, capsys, "--chain-ball needs --chain; the defect sweep does not use it")
+
+
+SWEEP_ONLY = [["--radii", "0.1,0.2"], ["--osc-levels", "6"], ["--osc-R", "0.2"]]
+
+
+@pytest.mark.parametrize("option", SWEEP_ONLY, ids=[o[0] for o in SWEEP_ONLY])
+def test_the_chain_rejects_sweep_options(tmp_path, capsys, option):
+    argv = ["monotonicity", str(tmp_path / "missing.json"), *CHAIN_16, *option]
+    _fails_with(argv, capsys, f"{option[0]} acts only in the defect sweep; --chain does not use it")
+
+
+def test_each_mode_keeps_its_defaults(tmp_path, capsys):
+    cone, rl = _scalar_and_map(tmp_path, capsys)
+    reports = []
+    for argv in (
+        ["monotonicity", rl, *CHAIN_16],
+        ["monotonicity", rl, *CHAIN_16, "--p", "4", "--q", "4", "--component", "0", "--mode", "above"],
+        ["monotonicity", cone, "--center", "0,0", "--radii", "0.1,0.2,0.3"],
+        ["monotonicity", cone, "--center", "0,0", "--radii", "0.1,0.2,0.3", "--osc-levels", "6"],
+    ):
+        assert main(argv) in (0, 2)
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] and json.loads(reports[0])["p"] == 4.0
+    assert reports[2] == reports[3] and json.loads(reports[2])["osc_integral"]["levels"] == 6
+
+
+# ---------------------------------------------------------------- Lp overflow
+
+
+def test_k_norm_overflow_exits_1(tmp_path, capsys):
+    # K = 1e100 is finite, K^4 is not: the report used to carry "K_norm_p": Infinity and exit 0
+    out = _export_radial_log(tmp_path, capsys, res=32)
+    big = _field_on(tmp_path, "big.k.json", Ball((0.0, 0.0), 0.6), 32, 1e100)  # radial_log's domain
+    argv = ["analyze", str(out), "--kfield", big, "--sigmafield", str(tmp_path / "rl.sigma.json"), "--p", "4",
+            "--q", "4"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _fails_with(argv, capsys, "field values must be finite on the mask")
+
+
+def test_sharp_sobolev_overflow_exits_1(tmp_path, capsys):
+    # the sharp check used to report lhs Infinity and exit 2
+    big = _field_on(tmp_path, "big.json", Ball((0.0, 0.0), 1.0), 16, 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _fails_with(["sobolev", big, "--check", "sharp"], capsys, "field values must be finite on the mask")
 
 
 def test_band_options_ignored_by_other_checks(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -422,6 +423,35 @@ def test_verify_y0_at_infinite_sigma_cell_stays_finite():
     assert math.isfinite(rep.max_violation) and math.isfinite(rep.max_excess)
     assert rep.violation_count == plain.violation_count == g.cell_count - 1
     assert rep.as_dict() == plain.as_dict()
+
+
+NORM_CHECKS = {
+    "lebesgue_norm": lambda vm, d: lebesgue_norm(d.K, d.p),
+    "verify_distortion": verify_distortion,
+    "sup_bound_chain": lambda vm, d: sup_bound_chain(vm, d, 0, 0.2, "above"),
+}
+
+
+@pytest.mark.parametrize(
+    "check, k, sigma",
+    [
+        ("lebesgue_norm", 1e100, 0.0),
+        ("verify_distortion", 1e100, 0.0),
+        ("verify_distortion", 1.0, 1e100),
+        ("sup_bound_chain", 1e100, 0.0),
+        ("sup_bound_chain", 1.0, 1e100),
+    ],
+    ids=["lebesgue_norm-K", "verify-K", "verify-quotient", "chain-K", "chain-quotient"],
+)
+def test_lp_norm_overflow_raises_the_masked_field_error(check, k, sigma):
+    # finite K and Sigma / K whose 4th powers overflow: the norms used to read inf after a warning
+    g = build_grid(CENTERED, 8)
+    vm = sample(g, lambda p: p)
+    data = DistortionData(const_field(g, k), const_field(g, sigma), 4.0, 4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^field values must be finite on the mask$"):
+            NORM_CHECKS[check](vm, data)
 
 
 @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -1.0])

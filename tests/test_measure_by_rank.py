@@ -2,7 +2,8 @@
 
 ``distribution._mu_plus_of_cells`` gives each masked cell mu_plus of its own
 value from the run starts of one argsort; it must equal, bit for bit, the
-per-cell search ``upper_distribution(f).mu_plus(f.values)``.  The levels and
+per-cell search ``upper_distribution(f).mu_plus(f.values)``, also on a chain
+truncation that is zero on most of its mask and on a field with no nonzero cell.  The levels and
 counts of ``upper_distribution`` must be those of ``np.unique``, and
 ``verify_level_bounds`` (a search among the level measures) must reproduce
 the earlier boolean-mask sums over the levels.  ``fields._grad_norm_values``
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from distlab.distribution import _mu_plus_of_cells, upper_distribution, verify_level_bounds
-from distlab.fields import Ball, Box, ScalarField, _grad_norm_values, build_grid, grad_norm, sample
+from distlab.fields import Ball, Box, ScalarField, _grad_norm_values, build_grid, grad_norm, sample, truncate
 from distlab.sobolev import band_bound_check, superlevel_check
 
 NEGATIVE = "distribution functions require a nonnegative field"
@@ -64,10 +65,20 @@ def stretched_cone(res=256):
     )
 
 
+def chain_truncation(res=40):
+    """(f - level)^+ of a 3-D bump on a ball, as the estimate chain truncates a
+    coordinate: the support is a small share of the mask, every other cell 0."""
+    f = sample(build_grid(Ball((0.0,) * 3, 1.0), res), lambda p: np.exp(-((p - 0.05) ** 2).sum(axis=-1) / 0.02))
+    return truncate(f, 0.03, "above")
+
+
 def fixed_fields():
     g2, g3 = build_grid(Ball((0.0, 0.0), 1.0), 24), build_grid(Box((0.0,) * 3, (1.0,) * 3), 6)
+    b3 = build_grid(Ball((0.0,) * 3, 1.0), 12)
     signed_zeros = np.where(np.arange(g2.cell_count) % 3 == 0, -0.0, 0.0)
     return {
+        "chain-truncation": chain_truncation(),
+        "no-nonzero-3d": ScalarField.from_values(b3, np.full(b3.cell_count, -0.0)),
         "constant": ScalarField.from_values(g3, np.full(g3.cell_count, 2.5)),
         "all-zero": ScalarField.from_values(g2, np.zeros(g2.cell_count)),
         "signed-zeros": ScalarField.from_values(g2, signed_zeros),
@@ -96,6 +107,11 @@ def test_rank_measures_equal_the_search_and_np_unique(f):
 @pytest.mark.parametrize("name", FIXED)
 def test_rank_measures_on_fixed_fields(name):
     check_rank_measures(FIXED[name])
+
+
+def test_chain_truncation_is_mostly_zero():
+    vals = FIXED["chain-truncation"].values
+    assert 0 < np.count_nonzero(vals) < 0.05 * len(vals)
 
 
 def test_stretched_cone_is_nearly_tie_free():
