@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -694,9 +698,20 @@ def test_field_geometry_of_the_wrong_type_rejected(tmp_path, capsys, key, value,
         (["staircase", "{missing}", "--gamma", "0.5", "--epsilon", "-1", "--max-steps", "0"], "epsilon must be positive"),
         (["staircase", "{missing}", "--gamma", "0.5", "--epsilon", "0.4", "--max-steps", "0"],
          "max_steps must be at least 1"),
+        (["staircase", "{missing}", "--gamma", "-1", "--epsilon", "0.4"], "gamma must be positive"),
+        (["staircase", "{missing}", "--gamma", "0", "--epsilon", "0.4"], "gamma must be positive"),
+        (["monotonicity", "{missing}", "--center", "0,0", "--radii=-0.1,0.2"], "ball radius must be positive"),
+        (["monotonicity", "{missing}", "--radii", "0.1,0.2", "--osc-R", "-1"], "ball radius must be positive"),
+        (["monotonicity", "{missing}", "--radii", "0.1,0.2", "--osc-R", "0"], "ball radius must be positive"),
+        (["monotonicity", "{missing}", "--chain", "--center", "0,0", "--chain-ball", "-0.3"],
+         "ball radius must be positive"),
+        (["modulus", "{missing}", "--radii=-1,0.1"], "ball radius must be positive"),
+        (["modulus", "--example", "radial_log", "--radii", "0.1,0"], "ball radius must be positive"),
     ],
     ids=["chain-ball", "radii", "band-missing", "band-three", "gammas", "gammas-first", "powers", "analyze-q", "chain-p",
-         "osc-levels", "sweep-samples", "chain-samples", "modulus-samples", "epsilon", "epsilon-first", "max-steps"],
+         "osc-levels", "sweep-samples", "chain-samples", "modulus-samples", "epsilon", "epsilon-first", "max-steps",
+         "gamma-negative", "gamma-zero", "sweep-radius", "osc-R-negative", "osc-R-zero", "chain-ball-negative",
+         "modulus-radius", "modulus-example-radius"],
 )
 def test_option_checks_come_before_the_file(tmp_path, capsys, argv, message):
     # the options alone are wrong: the message names the option, not the
@@ -834,3 +849,143 @@ def test_identical_plans_byte_identical_reports(tmp_path):
         )
         assert execute(plan) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_osc_radius_rejected_before_the_sweep(tmp_path, capsys, monkeypatch):
+    # a negative --osc-R used to fail only after every defect and the fit
+    monkeypatch.setattr(cli, "awm_defect", lambda *a, **k: pytest.fail("defect sweep before the --osc-R check"))
+    argv = ["monotonicity", cone_file(tmp_path, 16), "--radii", "0.1,0.2", "--osc-R", "-1"]
+    _fails_with(argv, capsys, "ball radius must be positive")
+
+
+# ------------------------------------------------------------ no half an export
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gallery", "--export", "cone", "--resolution", "16", "--with-data"],
+         "example 'cone' carries no analytic distortion data"),
+        (["gallery", "--export", "radial_log", "--resolution", "33", "--with-data"],
+         "field values must be finite on the mask"),
+        (["gallery", "--export", "x_over_norm", "--resolution", "33", "--with-data"],
+         "values: inf is not a finite number at cell (16, 16)"),
+        (["gallery", "--export", "x_over_norm", "--dim", "3", "--resolution", "33", "--with-data"],
+         "values: inf is not a finite number at cell (16, 16, 16)"),
+    ],
+    ids=["cone-without-data", "radial_log-K-at-the-centre", "x_over_norm-sigma-inf", "x_over_norm-3d-sigma-inf"],
+)
+def test_a_failed_export_writes_no_file(tmp_path, capsys, argv, message):
+    # the map used to be written before K or Sigma failed, and an infinite
+    # Sigma was written as Infinity, which the reader then refuses
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _fails_with([*argv, "--out", str(tmp_path / "x.json")], capsys, message)
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+def test_every_exported_file_reads_back(tmp_path, capsys):
+    # what the gallery writes, the reader takes
+    for name, dim in [("x_over_norm", 2), ("radial_log", 2), ("winding", 2), ("radial_power", 3)]:
+        out = tmp_path / f"{name}{dim}.json"
+        argv = ["gallery", "--export", name, "--dim", str(dim), "--resolution", "16", "--with-data", "--out", str(out)]
+        assert main(argv) == 0, capsys.readouterr().err
+        written = json.loads(capsys.readouterr().out)["written"]
+        assert written == [str(out), str(out)[: -len(".json")] + ".k.json", str(out)[: -len(".json")] + ".sigma.json"]
+        for path in written:
+            read_field(path)
+
+
+# ------------------------------------------------------ no non-finite report
+
+
+def test_a_tolerance_that_overflows_exits_1(tmp_path, capsys):
+    # the report used to carry "max_excess": -Infinity after an overflow warning, and exit 0
+    rl = str(_export_radial_log(tmp_path, capsys, res=16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _fails_with(["analyze", rl, "--rel-tol", "1e308"], capsys,
+                    "the cell tolerance rel_tol * (1 + |Df|^n + |K J|) overflows at rel_tol = 1e+308")
+
+
+def _child_cli(argv, cwd, timeout=30):
+    """``python -m distlab.cli argv`` in a child process, so that a command
+    that never finishes fails the test instead of hanging it."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    try:
+        return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "distlab.cli", *argv], cwd=cwd,
+                              env=env, capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"distlab {' '.join(argv)} still running after {timeout} s")
+
+
+def test_staircase_of_huge_piece_values_finishes(tmp_path):
+    # at gamma = 50 the pieces reach about 1e120 and the ladder used to spin forever
+    assert _child_cli(["gallery", "--export", "cone", "--resolution", "32", "--out", "cone.json"], tmp_path).returncode == 0
+    proc = _child_cli(["staircase", "cone.json", "--gamma", "50", "--epsilon", "0.4"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["gap_property_holds"] and doc["max_gap_deviation"] <= 0.4
+    assert len(doc["breakpoints"]) == 65 and doc["case"] == "interior"
+    proc = _child_cli(["staircase", "cone.json", "--gamma", "400", "--epsilon", "0.4"], tmp_path)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("distlab: gamma = 400.0 is too large for this field")
+
+
+# ------------------------------------------------------------ paths no test ran
+
+
+def test_bare_gallery_lists_the_examples(capsys):
+    assert main(["gallery"]) == 0
+    bare = capsys.readouterr().out
+    assert main(["gallery", "--list"]) == 0
+    assert bare == capsys.readouterr().out
+    assert [e["name"] for e in json.loads(bare)["examples"]] == [e["name"] for e in list_examples()]
+
+
+def test_chain_with_an_explicit_gamma(tmp_path, capsys):
+    _, rl = _scalar_and_map(tmp_path, capsys)
+    assert main(["monotonicity", rl, *CHAIN_16, "--gamma", "0.5"]) in (0, 2)
+    assert json.loads(capsys.readouterr().out)["gamma"] == 0.5
+
+
+def test_distribution_curves_embedded_without_curves_out(tmp_path, capsys):
+    path = cone_file(tmp_path, 16)
+    argv = ["distribution", path, "--tgrid", "0.25,0.5"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert main([*argv, "--curves-out", str(tmp_path / "curves.csv")]) == 0
+    assert "curves_csv" not in json.loads(capsys.readouterr().out)
+    assert doc["curves_csv"] == (tmp_path / "curves.csv").read_text()
+    assert doc["curves_csv"].count("\n") == 3
+
+
+def test_modulus_reports_a_fit_that_fails(capsys):
+    assert main(["modulus", "--example", "radial_log", "--radii", "0.1,0.2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["log_power_fit"] == {"error": "need at least 3 usable points with r < 1 and omega > 0"}
+    assert [row["r"] for row in doc["curve"]] == [0.1, 0.2]
+
+
+def test_modulus_of_a_scalar_example(capsys):
+    _fails_with(["modulus", "--example", "cone", "--radii", "0.1,0.2"], capsys, "modulus needs a map example")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["modulus", "--example", "winding", "--params", "k", "--radii", "0.1"],
+         "parameters look like key=value, got 'k'"),
+        (["modulus", "--example", "winding", "--params", "k=x", "--radii", "0.1"],
+         "parameter 'k' needs a numeric value"),
+        (["gallery", "--export", "winding", "--params", "k=inf", "--out", "w.json"],
+         "parameter 'k' needs a finite value, got 'inf'"),
+        (["modulus", "--example", "winding", "--radii", "0.1,x"],
+         "expected a comma-separated list of numbers, got '0.1,x'"),
+        (["monotonicity", "{missing}", "--radii", "0.1,0.2", "--osc-R", "x"], "argument --osc-R: invalid float value: 'x'"),
+    ],
+    ids=["params-no-value", "params-not-numeric", "params-not-finite", "radii-not-numeric", "osc-R-not-numeric"],
+)
+def test_malformed_option_values(tmp_path, capsys, argv, message):
+    _fails_with([a.format(missing=tmp_path / "missing.json") for a in argv], capsys, message)

@@ -454,6 +454,30 @@ def test_lp_norm_overflow_raises_the_masked_field_error(check, k, sigma):
             NORM_CHECKS[check](vm, data)
 
 
+@pytest.mark.parametrize("q", [4.0, math.inf])
+def test_quotient_overflow_raises_the_masked_field_error(q):
+    # Sigma / K = 1e310 overflows: at q = inf the norm used to read inf after a warning
+    g = build_grid(CENTERED, 8)
+    vm = sample(g, lambda p: p)
+    data = DistortionData(const_field(g, 1e-300), const_field(g, 1e10), 4.0, q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^field values must be finite on the mask$"):
+            verify_distortion(vm, data)
+
+
+def test_verify_rejects_a_tolerance_that_overflows():
+    # rel_tol * (1 + |Df|^n + |K J|) = 3e308: every excess read -inf after a warning
+    g = build_grid(CENTERED, 8)
+    vm = sample(g, lambda p: p)
+    data = DistortionData(const_field(g, 1.0), const_field(g, 0.0), 4.0, 4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"overflows at rel_tol = 1e\+308$"):
+            verify_distortion(vm, data, rel_tol=1e308)
+    assert verify_distortion(vm, data, rel_tol=1e307).max_excess < 0  # 3e307 is finite
+
+
 @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -1.0])
 def test_verify_rejects_a_tolerance_that_is_negative_or_not_finite(rel_tol):
     # a NaN tolerance used to report no violation and tol_rel NaN; -1 counted every cell

@@ -1,10 +1,17 @@
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from distlab import staircase
 from distlab.fields import Ball, Box, ScalarField, build_grid, sample
 from distlab.staircase import (
     MonotoneFn,
@@ -296,3 +303,61 @@ def test_staircase_csv():
     assert lines[0] == "i,t,F"
     assert lines[1] == "0,0.0,0.0"
     assert len(lines) == len(res.breakpoints) + 1
+
+
+# ------------------------------------------------------- huge piece values
+
+# the staircase of mu_plus^(-gamma) on the 32^2 unit-disk cone, printed as
+# JSON; run in a child process, so that a ladder that spins fails the test
+# instead of hanging it
+_CONE_STAIRCASE = """
+import json, sys
+import numpy as np
+from distlab.fields import Ball, build_grid, sample
+from distlab.staircase import inverse_distribution_fn, max_gap_deviation, staircase_approx
+g = build_grid(Ball((0.0, 0.0), 1.0), 32)
+F = inverse_distribution_fn(sample(g, lambda p: 1.0 - np.sqrt((p**2).sum(axis=-1))), float(sys.argv[1]))
+res = staircase_approx(F, 0.4, 64)
+print(json.dumps({"t": res.breakpoints.tolist(), "case": res.case, "deviation": max_gap_deviation(F, res),
+                  "jumps": F.jumps.tolist(), "pieces": F.piece_values[:-1].tolist()}))
+"""
+
+
+def _cone_staircase(gamma: float, timeout: float = 30.0) -> dict:
+    src = str(pathlib.Path(staircase.__file__).resolve().parents[1])
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-c", _CONE_STAIRCASE, repr(gamma)]
+    try:
+        proc = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                              timeout=timeout)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"the staircase at gamma = {gamma} still ran after {timeout} s")
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("gamma", [50.0, 100.0, 150.0])
+def test_staircase_of_huge_piece_values_finishes(gamma):
+    # at gamma = 50 the pieces reach about 1e120: i * eps stopped growing
+    # before it reached the next piece, and the ladder spun forever
+    out = _cone_staircase(gamma)
+    assert out["deviation"] <= 0.4
+    assert len(out["t"]) == 65
+    # where a float cannot tell F(t) from F(t) + eps, each jump is its own step
+    jumps, pieces, t = np.array(out["jumps"]), np.array(out["pieces"]), np.array(out["t"])
+    idx = np.searchsorted(jumps, t[np.isin(t, jumps)])
+    huge = pieces[idx] > 1e17
+    assert huge.any()
+    assert np.array_equal(np.diff(idx[huge]), np.ones(huge.sum() - 1, dtype=int))
+
+
+@pytest.mark.parametrize("gamma", [200.0, 400.0])
+def test_inverse_distribution_overflow_names_gamma(gamma):
+    # the cone's top level holds 4 cells of measure 2^-8, and its piece
+    # 2^(6 gamma) overflowed to +inf after a RuntimeWarning, which moved s
+    # below the field maximum
+    g = build_grid(UNIT_DISK, 32)
+    f = sample(g, cone)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^gamma = {gamma!r} is too large for this field"):
+            inverse_distribution_fn(f, gamma)
