@@ -16,13 +16,19 @@ its own with a missing file, and ``cone.json`` with a geometry key of the
 wrong JSON type, and a ``--params`` key given twice, each ``monotonicity`` mode
 given an option of the other, option values the library rejects (``--osc-levels``,
 ``--samples``, ``--epsilon``, ``--max-steps``), and a K file and a field file
-whose finite values overflow an L^p norm; plus ``sobolev rl.k.json``,
+whose finite values overflow an L^p norm or the quotient Sigma / K; plus ``sobolev rl.k.json``,
 whose support warning exits 2; plus ``radial_log`` exported at 48^3, two
 sampling slabs, and its ``--y0`` check with the violation rows of several
 derivative blocks; plus every other catalog example exported at 32^2 and,
 where it exists in 3-D, at 32^3, with ``--with-data`` where it carries
-data), and prints one ``exit sha256 command`` line per command
-and per side file; the hash covers stdout and stderr.  It then hashes the file that
+data; plus the staircase of a 32^2 cone at gamma 50 to 400, a ``--rel-tol``
+that overflows, exports whose K or Sigma fails after the map is made, radii
+and ``--gamma`` wrong on their own, the bare ``gallery``, an explicit chain
+``--gamma``, embedded curves, a failed modulus fit, a scalar ``--example``
+and malformed ``--params`` and ``--radii``), and prints one ``exit sha256
+command`` line per command and per side file; the hash covers stdout and
+stderr.  A command still running after 60 s is stopped and printed as
+``timeout -`` in place of its exit code and hash.  It then hashes the file that
 ``write_field(read_field(...))`` writes for ``rl.json`` and ``cone.json``,
 and runs one pass of the ``map-3d-96`` and
 ``scalar-2d-1024`` benchmark workloads at seed 5, at ``--quick`` and at
@@ -136,6 +142,31 @@ COMMANDS = [
      ["rl3.json", "rl3.k.json", "rl3.sigma.json"]),
     (["analyze", "rl3.json", "--kfield", "rl3.k.json", "--sigmafield", "rl3.sigma.json", "--p", "4", "--q", "4",
       "--y0", "0.05,0,0", "--violations-out", "violations3.csv"], ["violations3.csv"]),
+    # the staircase of mu_plus^(-gamma) on a 32^2 cone: pieces up to about 1e120 at gamma = 50, overflow at 200
+    (["gallery", "--export", "cone", "--resolution", "32", "--out", "cone32.json"], ["cone32.json"]),
+    *((["staircase", "cone32.json", "--gamma", g, "--epsilon", "0.4"], []) for g in ("50", "100", "150", "200", "400")),
+    # a tolerance that overflows; exports whose K or Sigma fails after the map is made
+    (["analyze", "rl.json", "--rel-tol", "1e308"], []),
+    (["gallery", "--export", "x_over_norm", "--resolution", "33", "--with-data", "--out", "x33.json"],
+     ["x33.json", "x33.k.json", "x33.sigma.json"]),
+    (["analyze", "x33.json", "--sigmafield", "x33.sigma.json"], []),
+    (["gallery", "--export", "radial_log", "--resolution", "33", "--with-data", "--out", "rl33.json"],
+     ["rl33.json", "rl33.k.json", "rl33.sigma.json"]),
+    # exit-1 paths: radii and gamma wrong on their own, named before the (missing) file is read
+    (["staircase", "missing.json", "--gamma", "-1", "--epsilon", "0.4"], []),
+    (["monotonicity", "missing.json", "--center", "0,0", "--radii=-0.1,0.2"], []),
+    (["monotonicity", "cone.json", "--center", "0,0", "--radii", "0.1,0.2", "--osc-R", "-1"], []),
+    (["monotonicity", "missing.json", "--chain", "--center", "0,0", "--chain-ball", "-0.3"], []),
+    (["modulus", "missing.json", "--radii=-1,0.1"], []),
+    # the bare gallery listing, an explicit chain gamma, embedded curves, a failed fit, a scalar example, bad --params
+    (["gallery"], []),
+    (CHAIN + ["--gamma", "0.5"], []),
+    (["distribution", "cone.json", "--tgrid", "0.25,0.5"], []),
+    (["modulus", "--example", "radial_log", "--radii", "0.1,0.2"], []),
+    (["modulus", "--example", "cone", "--radii", "0.1,0.2"], []),
+    (["modulus", "--example", "winding", "--params", "k", "--radii", "0.1"], []),
+    (["modulus", "--example", "winding", "--params", "k=x", "--radii", "0.1"], []),
+    (["modulus", "--example", "winding", "--radii", "0.1,x"], []),
 ]
 
 # every other catalog example at 32^2 and, where it exists in 3-D, at 32^3, with its data where it carries any
@@ -151,12 +182,17 @@ for name, data, dims in [("identity", True, (2, 3)), ("linear", True, (2, 3)), (
 # exit-1 paths: cone.json with one geometry key of the wrong JSON type
 GEOMETRY = [("shape", [256.7, 256.2]), ("dim", 2.9), ("shape", ["256", "256"]), ("spacing", "0.0078125")]
 
-# exit-1 paths: a copy of a field file with every value set to a finite number whose L^p norm overflows
+# exit-1 paths: a copy of a field file with every value set to a finite number whose L^p norm overflows; then
+# Sigma = 1e10 (scaled2.json) over K = 1e-300, a quotient that overflows
 SCALED = [
     ("rl.k.json", 1e100, ["analyze", "rl.json", "--kfield", "{file}", "--sigmafield", "rl.sigma.json", "--p", "4",
                           "--q", "4"]),
     ("cone.json", 1e300, ["sobolev", "{file}", "--check", "sharp"]),
+    ("rl.sigma.json", 1e10, ["analyze", "rl.json", "--sigmafield", "{file}", "--p", "4", "--q", "inf"]),
+    ("rl.k.json", 1e-300, ["analyze", "rl.json", "--kfield", "{file}", "--sigmafield", "scaled2.json", "--p", "4",
+                           "--q", "inf"]),
 ]
+TIMEOUT = 60  # seconds per CLI command; the staircase at gamma = 50 used to run forever
 
 
 # the field-file round trip, then one pass of each library workload at seed 5; argv[1] is SRC
@@ -227,6 +263,19 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _cli(args: list[str], work: str, env: dict, shown: str) -> str:
+    """Run ``distlab args`` in ``work`` and print its exit code (or ``timeout``, with no hash) and the
+    hash of its stdout and stderr; returns the printed exit column."""
+    try:
+        proc = subprocess.run([sys.executable, "-m", "distlab.cli", *args], cwd=work, env=env, capture_output=True,
+                              timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        print("timeout", "-", shown, flush=True)
+        return "timeout"
+    print(proc.returncode, _sha(proc.stdout + proc.stderr), shown, flush=True)
+    return str(proc.returncode)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         sys.stderr.write(__doc__)
@@ -240,30 +289,23 @@ def main(argv: list[str]) -> int:
     env = dict(os.environ, PYTHONPATH=src)
     with tempfile.TemporaryDirectory() as work:
         for args, side in COMMANDS:
-            proc = subprocess.run(
-                [sys.executable, "-m", "distlab.cli", *args], cwd=work, env=env, capture_output=True
-            )
             shown = "distlab " + " ".join(args)
-            print(proc.returncode, _sha(proc.stdout + proc.stderr), shown, flush=True)
+            code = _cli(args, work, env, shown)
             for name in side:
                 path = pathlib.Path(work, name)
                 digest = _sha(path.read_bytes()) if path.exists() else "missing"
-                print(proc.returncode, digest, f"{shown} [{name}]", flush=True)
+                print(code, digest, f"{shown} [{name}]", flush=True)
         for i, (key, value) in enumerate(GEOMETRY):
             doc = json.loads(pathlib.Path(work, "cone.json").read_text())
             pathlib.Path(work, f"geometry{i}.json").write_text(json.dumps({**doc, key: value}))
-            argv = [sys.executable, "-m", "distlab.cli", "sobolev", f"geometry{i}.json"]
-            proc = subprocess.run(argv, cwd=work, env=env, capture_output=True)
             shown = f"distlab sobolev geometry{i}.json (cone.json with {key} {json.dumps(value)})"
-            print(proc.returncode, _sha(proc.stdout + proc.stderr), shown, flush=True)
+            _cli(["sobolev", f"geometry{i}.json"], work, env, shown)
         for i, (name, value, args) in enumerate(SCALED):
             doc = json.loads(pathlib.Path(work, name).read_text())
             doc["values"] = [None if v is None else value for v in doc["values"]]
             pathlib.Path(work, f"scaled{i}.json").write_text(json.dumps(doc))
             args = [a.format(file=f"scaled{i}.json") for a in args]
-            proc = subprocess.run([sys.executable, "-m", "distlab.cli", *args], cwd=work, env=env, capture_output=True)
-            shown = f"distlab {' '.join(args)} (scaled{i}.json: {name} with every value {value!r})"
-            print(proc.returncode, _sha(proc.stdout + proc.stderr), shown, flush=True)
+            _cli(args, work, env, f"distlab {' '.join(args)} (scaled{i}.json: {name} with every value {value!r})")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(PERFBENCH)]), PYTHONDONTWRITEBYTECODE="1")
         proc = subprocess.run([sys.executable, "-c", LIBRARY, src], cwd=work, env=env, text=True, capture_output=True)
         print(proc.stdout, end="", flush=True)

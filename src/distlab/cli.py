@@ -34,8 +34,8 @@ from .distribution import (
     upper_distribution,
     verify_level_bounds,
 )
-from .fieldio import FieldFormatError, read_field, write_field
-from .fields import Ball, Grid, ScalarField, VectorMap, _check_samples, _same_lattice, interpolate
+from .fieldio import _check_writable, read_field, write_field
+from .fields import Ball, Grid, ScalarField, VectorMap, _check_radius, _check_samples, _same_lattice, interpolate
 from .gallery import (
     list_examples,
     make_example,
@@ -57,6 +57,7 @@ from .monotonicity import (
 )
 from .sobolev import band_bound_check, sharp_sobolev_check, superlevel_check
 from .staircase import (
+    _check_gamma,
     _check_ladder,
     inverse_distribution_fn,
     max_gap_deviation,
@@ -245,8 +246,6 @@ def parse_command(argv: list[str]) -> CommandPlan:
     sub = opts.pop("subcommand")
     out = opts.pop("out", None)
     fmt = opts.pop("fmt", "json")
-    if sub == "gallery" and not opts["list"] and opts["export"] is None:
-        opts["list"] = True
     if sub == "gallery" and opts["export"] is not None and out is None:
         raise UsageError("gallery --export needs --out PATH")
     if sub == "modulus" and (opts["field"] is None) == (opts["example"] is None):
@@ -271,7 +270,12 @@ def parse_command(argv: list[str]) -> CommandPlan:
         if sub in ("monotonicity", "modulus") and opts["samples"] is not None:
             _check_samples(opts["samples"])
         if sub == "staircase":
+            _check_gamma(opts["gamma"])
             _check_ladder(opts["epsilon"], opts["max_steps"])
+        if sub in ("monotonicity", "modulus"):
+            for radius in [*(opts["radii"] or ()), opts.get("osc_R"), opts.get("chain_ball")]:
+                if radius is not None:
+                    _check_radius(radius)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if sub == "sobolev":
@@ -288,12 +292,8 @@ def parse_command(argv: list[str]) -> CommandPlan:
 
 
 def _provenance(grid=None, **extra) -> dict:
-    doc = {"version": __version__}
-    if grid is not None:
-        doc["resolution"] = list(grid.shape)
-        doc["spacing"] = grid.spacing
-    doc.update(extra)
-    return doc
+    geometry = {} if grid is None else {"resolution": list(grid.shape), "spacing": grid.spacing}
+    return {"version": __version__, **geometry, **extra}
 
 
 def _write(path: str, text: str) -> None:
@@ -301,61 +301,44 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _emit(plan: CommandPlan, text: str) -> None:
-    if plan.out:
-        _write(plan.out, text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(plan: CommandPlan, doc: dict) -> None:
-    _emit(plan, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-def _read(path, kind: type) -> ScalarField | VectorMap:
-    """The field file at ``path``, which must hold a ``kind`` (ScalarField or VectorMap)."""
+def _read(path, kind: type, nonnegative: bool = False) -> ScalarField | VectorMap:
+    """The field file at ``path``, which must hold a ``kind`` (ScalarField or
+    VectorMap) and, with ``nonnegative``, no negative value."""
     obj = read_field(path)
     if not isinstance(obj, kind):
         kinds = {ScalarField: "a scalar field", VectorMap: "a map"}
         payload = "values" if kind is ScalarField else "components"
         raise ValueError(f"{path}: expected {kinds[kind]} ({payload}), found {kinds[type(obj)]}")
-    return obj
-
-
-def _require_nonnegative(field: ScalarField, path: str) -> None:
-    vals = field.values
-    neg = vals < 0
-    if neg.any():
+    if nonnegative and (neg := obj.values < 0).any():
         pos = int(np.argmax(neg))
-        cell = tuple(int(c) for c in np.argwhere(field.grid.mask)[pos])
-        raise ValueError(
-            f"{path}: negative value {vals[pos]!r} at cell {cell}; "
-            "distribution functions need a nonnegative field"
-        )
+        cell = tuple(int(c) for c in np.argwhere(obj.grid.mask)[pos])
+        raise ValueError(f"{path}: negative value {obj.values[pos]!r} at cell {cell}; "
+                         "distribution functions need a nonnegative field")
+    return obj
 
 
 # ------------------------------------------------------------------ handlers
 
 
-def _cmd_gallery(plan: CommandPlan) -> int:
+def _cmd_gallery(plan: CommandPlan) -> tuple[dict | None, int]:
     opts = plan.options
     if opts["export"] is None:
-        _emit_json(plan, {"examples": list_examples(), "provenance": _provenance()})
-        return 0
+        return {"examples": list_examples(), "provenance": _provenance()}, 0
     ex = make_example(opts["export"], dim=opts["dim"], **_params(opts["params"]))
+    if opts["with_data"] and (ex.analytic_k is None or ex.analytic_sigma is None):
+        raise ValueError(f"example {ex.name!r} carries no analytic distortion data")
     sampled = sample_map(ex, opts["resolution"])
-    write_field(sampled, plan.out)
-    written = [plan.out]
+    files = [(plan.out, sampled)]
     if opts["with_data"]:
-        if ex.analytic_k is None or ex.analytic_sigma is None:
-            raise ValueError(f"example {ex.name!r} carries no analytic distortion data")
         base = plan.out[: -len(".json")] if plan.out.endswith(".json") else plan.out
-        kpath, spath = base + ".k.json", base + ".sigma.json"
-        write_field(sample_analytic_k(ex, sampled.grid), kpath)
-        write_field(sample_analytic_sigma(ex, sampled.grid), spath)
-        written += [kpath, spath]
-    sys.stdout.write(json.dumps({"written": written}, sort_keys=True) + "\n")
-    return 0
+        files += [(base + ".k.json", sample_analytic_k(ex, sampled.grid)),
+                  (base + ".sigma.json", sample_analytic_sigma(ex, sampled.grid))]
+    for _, obj in files:  # every file is made and checked before any is written
+        _check_writable(obj)
+    for path, obj in files:
+        write_field(obj, path)
+    sys.stdout.write(json.dumps({"written": [path for path, _ in files]}, sort_keys=True) + "\n")
+    return None, 0
 
 
 def _read_companion(path: str | None, grid: Grid) -> np.ndarray | None:
@@ -387,7 +370,7 @@ def _distortion_data(opts: dict, vm: VectorMap, cells: Grid) -> DistortionData:
     return DistortionData(K, S, opts["p"], opts["q"])
 
 
-def _cmd_analyze(plan: CommandPlan) -> int:
+def _cmd_analyze(plan: CommandPlan) -> tuple[dict, int]:
     opts = plan.options
     vm = _read(opts["map"], VectorMap)
     grid = vm.grid
@@ -402,16 +385,13 @@ def _cmd_analyze(plan: CommandPlan) -> int:
     doc["k_source"] = opts["kfield"] or "default: K = 1"
     doc["sigma_source"] = opts["sigmafield"] or "default: minimal defect for the given K"
     doc["provenance"] = _provenance(grid)
-    _emit_json(plan, doc)
-    return 0
+    return doc, 0
 
 
-def _cmd_sobolev(plan: CommandPlan) -> int:
+def _cmd_sobolev(plan: CommandPlan) -> tuple[dict, int]:
     opts = plan.options
-    field = _read(opts["field"], ScalarField)
     which = opts["check"]
-    if opts["band"] is not None or which in ("superlevel", "all"):
-        _require_nonnegative(field, opts["field"])
+    field = _read(opts["field"], ScalarField, nonnegative=opts["band"] is not None or which in ("superlevel", "all"))
     # the band check runs first, so that a band it rejects costs no other check
     band = [] if opts["band"] is None else [band_bound_check(field, *opts["band"])]
     reports = []
@@ -425,14 +405,12 @@ def _cmd_sobolev(plan: CommandPlan) -> int:
         "all_hold": all(r.holds for r in reports),
         "provenance": _provenance(field.grid),
     }
-    _emit_json(plan, doc)
-    return 0 if doc["all_hold"] else 2
+    return doc, 0 if doc["all_hold"] else 2
 
 
-def _cmd_distribution(plan: CommandPlan) -> int:
+def _cmd_distribution(plan: CommandPlan) -> tuple[dict, int]:
     opts = plan.options
-    field = _read(opts["field"], ScalarField)
-    _require_nonnegative(field, opts["field"])
+    field = _read(opts["field"], ScalarField, nonnegative=True)
     dist = upper_distribution(field)
     total = dist.total
 
@@ -474,12 +452,8 @@ def _cmd_distribution(plan: CommandPlan) -> int:
             "holds": cavalieri_ok,
         },
         "level_bounds": [
-            {
-                "a": b.a,
-                "lower_set_measure": b.lower_set_measure,
-                "upper_set_measure": b.upper_set_measure,
-                "holds": b.holds,
-            }
+            {"a": b.a, "lower_set_measure": b.lower_set_measure, "upper_set_measure": b.upper_set_measure,
+             "holds": b.holds}
             for b in bounds
         ],
         "neg_power_integrals": neg,
@@ -489,35 +463,29 @@ def _cmd_distribution(plan: CommandPlan) -> int:
     }
     if curves is not None and not opts["curves_out"]:
         doc["curves_csv"] = curves
-    _emit_json(plan, doc)
-    return 0 if all_hold else 2
+    return doc, 0 if all_hold else 2
 
 
-def _cmd_staircase(plan: CommandPlan) -> int:
+def _cmd_staircase(plan: CommandPlan) -> tuple[dict | str, int]:
     opts = plan.options
-    field = _read(opts["field"], ScalarField)
-    _require_nonnegative(field, opts["field"])
+    field = _read(opts["field"], ScalarField, nonnegative=True)
     F = inverse_distribution_fn(field, opts["gamma"])
     result = staircase_approx(F, opts["epsilon"], opts["max_steps"])
     deviation = max_gap_deviation(F, result)
-    ok = deviation <= opts["epsilon"] * (1 + _REL_SLACK)
+    code = 0 if deviation <= opts["epsilon"] * (1 + _REL_SLACK) else 2
     if plan.fmt == "csv":
-        _emit(plan, staircase_csv(F, result))
-    else:
-        _emit_json(
-            plan,
-            {
-                "s": result.s,
-                "case": result.case,
-                "epsilon": result.epsilon,
-                "breakpoints": [float(t) for t in result.breakpoints],
-                "values": [float(F(t)) for t in result.breakpoints],
-                "max_gap_deviation": deviation,
-                "gap_property_holds": ok,
-                "provenance": _provenance(field.grid, gamma=opts["gamma"]),
-            },
-        )
-    return 0 if ok else 2
+        return staircase_csv(F, result), code
+    doc = {
+        "s": result.s,
+        "case": result.case,
+        "epsilon": result.epsilon,
+        "breakpoints": [float(t) for t in result.breakpoints],
+        "values": [float(F(t)) for t in result.breakpoints],
+        "max_gap_deviation": deviation,
+        "gap_property_holds": code == 0,
+        "provenance": _provenance(field.grid, gamma=opts["gamma"]),
+    }
+    return doc, code
 
 
 def _center(opts: dict, default: list[float]) -> tuple[float, ...]:
@@ -528,7 +496,7 @@ def _center(opts: dict, default: list[float]) -> tuple[float, ...]:
     return tuple(center)
 
 
-def _cmd_monotonicity(plan: CommandPlan) -> int:
+def _cmd_monotonicity(plan: CommandPlan) -> tuple[dict | str, int]:
     opts = plan.options
     obj = _read(opts["field"], VectorMap if opts["chain"] else ScalarField)
     grid = obj.grid
@@ -550,13 +518,10 @@ def _cmd_monotonicity(plan: CommandPlan) -> int:
         doc = ledger.as_dict()
         doc["ball"] = {"center": list(center), "radius": opts["chain_ball"]}
         doc["provenance"] = _provenance(grid)
-        if plan.fmt == "csv":
-            _emit(plan, ledger.csv())
-        else:
-            _emit_json(plan, doc)
         # without compact support the steps that assume it are not claimed
         excused = _SUPPORT_STEPS if ledger.support_warning else ()
-        return 2 if any(not c.holds and c.name not in excused for c in ledger.checks) else 0
+        code = 2 if any(not c.holds and c.name not in excused for c in ledger.checks) else 0
+        return (ledger.csv() if plan.fmt == "csv" else doc), code
 
     radii = sorted(opts["radii"])
     defects = [
@@ -572,26 +537,21 @@ def _cmd_monotonicity(plan: CommandPlan) -> int:
         "osc_integral": {"R": osc_R, "levels": opts["osc_levels"], "value": osc},
         "provenance": _provenance(grid),
     }
-    _emit_json(plan, doc)
-    return 0
+    return doc, 0
 
 
-def _cmd_modulus(plan: CommandPlan) -> int:
+def _cmd_modulus(plan: CommandPlan) -> tuple[dict, int]:
     opts = plan.options
     if opts["example"] is not None:
         ex = make_example(opts["example"], dim=opts["dim"], **_params(opts["params"]))
         if ex.is_scalar:
             raise ValueError("modulus needs a map example")
-        evaluator = ex.evaluator
-        dim = ex.dim
-        grid = None
+        evaluator, dim, grid = ex.evaluator, ex.dim, None
     else:
         vm = _read(opts["field"], VectorMap)
-        dim = vm.grid.dim
-        grid = vm.grid
-        comps = vm.components
+        grid, dim = vm.grid, vm.grid.dim
 
-        def evaluator(pts, comps=comps):
+        def evaluator(pts, comps=vm.components):
             return np.stack([interpolate(c, pts) for c in comps], axis=-1)
 
     center = _center(opts, [0.0] * dim)
@@ -606,8 +566,7 @@ def _cmd_modulus(plan: CommandPlan) -> int:
         "log_power_fit": fit,
         "provenance": _provenance(grid, samples=opts["samples"]),
     }
-    _emit_json(plan, doc)
-    return 0
+    return doc, 0
 
 
 _HANDLERS = {
@@ -622,12 +581,21 @@ _HANDLERS = {
 
 
 def execute(plan: CommandPlan) -> int:
-    """Run a validated plan; returns the process exit code."""
+    """Run a validated plan and write its report (a dict as JSON, a str as
+    is) to ``plan.out`` or stdout; returns the process exit code."""
     try:
-        return _HANDLERS[plan.subcommand](plan)
-    except (UsageError, FieldFormatError, OSError, ValueError) as exc:
+        report, code = _HANDLERS[plan.subcommand](plan)
+        if report is None:  # gallery --export: --out named the map file
+            return code
+        text = report if isinstance(report, str) else json.dumps(report, sort_keys=True, indent=2) + "\n"
+        if plan.out:
+            _write(plan.out, text)
+        else:
+            sys.stdout.write(text)
+    except (UsageError, OSError, ValueError) as exc:
         sys.stderr.write(f"distlab: {exc}\n")
         return 1
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -637,8 +605,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"distlab: {exc}\n")
         return 1
-    code = execute(plan)
-    return code
+    return execute(plan)
 
 
 if __name__ == "__main__":

@@ -237,7 +237,10 @@ def verify_distortion(
                 defect = np.where(np.isposinf(defect), np.inf, dist_n * defect)
         rhs = k * J + defect
         resid = dn - rhs
-        tol = _PT_TOL * (1.0 + dn) if rel_tol is None else rel_tol * (1.0 + dn + np.abs(k * J))
+        with np.errstate(over="ignore"):
+            tol = _PT_TOL * (1.0 + dn) if rel_tol is None else rel_tol * (1.0 + dn + np.abs(k * J))
+        if not np.isfinite(tol).all():  # |Df|^n is finite: a huge rel_tol (or K J) overflows it
+            raise ValueError(f"the cell tolerance rel_tol * (1 + |Df|^n + |K J|) overflows at rel_tol = {rel_tol!r}")
         excess = resid - tol
         bad = np.flatnonzero(excess > 0)
         rows.append((bad + j0, dn[bad], rhs[bad]))
@@ -248,8 +251,9 @@ def verify_distortion(
     finite_sigma = np.isfinite(Sigma)
     usable = finite_sigma & (K > 0)
     quotient = Sigma[usable]
-    quotient /= K[usable]
-    sk_norm = _lp(quotient, data.q, grid.cell_volume) if usable.any() else 0.0
+    with np.errstate(over="ignore"):
+        quotient /= K[usable]
+    sk_norm = _lp(_finite(quotient), data.q, grid.cell_volume) if usable.any() else 0.0
     k_norm = _lp(np.abs(K), data.p, grid.cell_volume)
     crit = None
     if math.isinf(data.p):

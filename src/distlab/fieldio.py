@@ -47,7 +47,16 @@ def _array_with_nulls(grid: Grid, data: np.ndarray) -> list:
     return np.where(grid.mask, data, None).reshape(-1).tolist()
 
 
+def _check_writable(obj: ScalarField | VectorMap) -> None:
+    """Refuse what the reader refuses, in its words: a masked value that is
+    not finite (only a defect field holds one, +inf; a map's are finite)."""
+    if isinstance(obj, ScalarField) and (bad := obj.grid.mask & ~np.isfinite(obj.data)).any():
+        cell = tuple(int(c) for c in np.argwhere(bad)[0])
+        raise FieldFormatError(f"values: {float(obj.data[cell])!r} is not a finite number at cell {cell}")
+
+
 def field_document(obj: ScalarField | VectorMap) -> dict:
+    _check_writable(obj)
     grid = obj.grid
     doc = {
         "dim": grid.dim,
@@ -161,8 +170,9 @@ def field_from_document(doc: dict) -> ScalarField | VectorMap:
 
 
 def write_field(obj: ScalarField | VectorMap, path) -> None:
+    text = json.dumps(field_document(obj)) + "\n"  # dumps runs the C encoder, dump does not
     with open(path, "w") as fh:
-        fh.write(json.dumps(field_document(obj)) + "\n")  # dumps runs the C encoder, dump does not
+        fh.write(text)
 
 
 def read_field(path) -> ScalarField | VectorMap:

@@ -62,8 +62,7 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("ball radius must be positive")
+        _check_radius(self.radius)
 
     @property
     def dim(self) -> int:
@@ -604,6 +603,11 @@ def interpolate(field: ScalarField, points: np.ndarray) -> np.ndarray:
             w = w * (frac[:, a] if corner[a] else 1.0 - frac[:, a])
         vals += w * field.data[idx]
     return vals
+
+
+def _check_radius(radius: float) -> None:
+    if not radius > 0:
+        raise ValueError("ball radius must be positive")
 
 
 def _check_samples(samples: int) -> None:

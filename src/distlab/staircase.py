@@ -181,10 +181,11 @@ def staircase_approx(F: MonotoneFn, epsilon: float, max_steps: int) -> Staircase
     prev_val = f0
     case = "interior"
     i = 0
+    floor = f0  # the ladder's least next threshold
     stalls = 0
     while len(pts) - 1 < max_steps:
         i += 1
-        thr = f0 + i * epsilon
+        thr = max(f0 + i * epsilon, floor)
         t = F._sup_below(thr, s)
         if t >= s:
             case = "hit"
@@ -197,10 +198,13 @@ def staircase_approx(F: MonotoneFn, epsilon: float, max_steps: int) -> Staircase
             pts.append(t)
         elif F.kind == "step":
             # jump taller than eps: fast-forward the ladder to the next
-            # piece value instead of stepping one eps at a time
+            # piece value instead of stepping one eps at a time; where
+            # f0 + i*eps rounds below it (i*eps beyond float resolution, so
+            # every jump there is taller than eps) the floor takes the rung
             nxt = F.piece_values[np.searchsorted(F.piece_values, thr, side="right")]
             if math.isfinite(nxt):
                 i = max(i, math.ceil((nxt - f0) / epsilon) - 1)
+                floor = nxt
         else:
             stalls += 1
             if stalls > 1_000_000:
@@ -223,16 +227,24 @@ def staircase_approx(F: MonotoneFn, epsilon: float, max_steps: int) -> Staircase
     return StaircaseResult(np.asarray(pts), float(s), case, float(epsilon))
 
 
+def _check_gamma(gamma: float) -> None:
+    if not gamma > 0:
+        raise ValueError("gamma must be positive")
+
+
 def inverse_distribution_fn(field: ScalarField, gamma: float) -> MonotoneFn:
     """The step function mu_plus^(-gamma) of a sampled field, exact; its
     staircase has s equal to the field maximum."""
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    _check_gamma(gamma)
     dist = upper_distribution(field)
     if field.max() <= 0:
         raise ValueError("field is identically zero")
     tails, _ = dist._level_mu()
-    pieces = np.concatenate([tails**-gamma, [math.inf]])
+    with np.errstate(over="ignore"):
+        pieces = tails**-gamma
+    if not np.isfinite(pieces).all():
+        raise ValueError(f"gamma = {gamma!r} is too large for this field: mu_plus^(-gamma) overflows")
+    pieces = np.concatenate([pieces, [math.inf]])
     return MonotoneFn.step(dist.levels, pieces, value_at_infinity=math.inf)
 
 

@@ -927,7 +927,7 @@ def test_staircase_of_huge_piece_values_finishes(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["gap_property_holds"] and doc["max_gap_deviation"] <= 0.4
-    assert len(doc["breakpoints"]) == 65 and doc["case"] == "interior"
+    assert len(doc["breakpoints"]) == 65 and doc["case"] == "hit"
     proc = _child_cli(["staircase", "cone.json", "--gamma", "400", "--epsilon", "0.4"], tmp_path)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("distlab: gamma = 400.0 is too large for this field")
