@@ -361,3 +361,14 @@ def test_inverse_distribution_overflow_names_gamma(gamma):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=rf"^gamma = {gamma!r} is too large for this field"):
             inverse_distribution_fn(f, gamma)
+
+
+def test_ladder_one_rounding_below_a_piece_steps_on_as_before():
+    # the fast-forward lands at 6 * 0.3 = 1.7999999999999998, one rounding
+    # below the piece 1.8; the ladder then steps one eps further and takes
+    # 1.8 and 1.95 in one rung. Taking the piece itself as the rung would
+    # also keep the gap property, but changed a staircase that finished
+    F = MonotoneFn.step(np.arange(1.0, 6.0), np.array([0.0, 1.8, 1.95, 2.7, 2.85, math.inf]),
+                        value_at_infinity=math.inf)
+    res = staircase_approx(F, 0.3, 4)
+    assert (res.breakpoints.tolist(), res.case) == ([0.0, 1.0, 3.0, 4.0, 4.5], "hit")
