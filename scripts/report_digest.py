@@ -21,8 +21,9 @@ whose support warning exits 2; plus ``radial_log`` exported at 48^3, two
 sampling slabs, and its ``--y0`` check with the violation rows of several
 derivative blocks; plus every other catalog example exported at 32^2 and,
 where it exists in 3-D, at 32^3, with ``--with-data`` where it carries
-data; plus the staircase of a 32^2 cone at gamma 50 to 400, a ``--rel-tol``
-that overflows, exports whose K or Sigma fails after the map is made, radii
+data; plus the staircase of a 32^2 cone at gamma 50 to 400 and at 170
+with epsilon 0.01, a ``--rel-tol`` that overflows, exports whose K or
+Sigma fails after the map is made, radii
 and ``--gamma`` wrong on their own, the bare ``gallery``, an explicit chain
 ``--gamma``, embedded curves, a failed modulus fit, a scalar ``--example``
 and malformed ``--params`` and ``--radii``), and prints one ``exit sha256
@@ -145,6 +146,8 @@ COMMANDS = [
     # the staircase of mu_plus^(-gamma) on a 32^2 cone: pieces up to about 1e120 at gamma = 50, overflow at 200
     (["gallery", "--export", "cone", "--resolution", "32", "--out", "cone32.json"], ["cone32.json"]),
     *((["staircase", "cone32.json", "--gamma", g, "--epsilon", "0.4"], []) for g in ("50", "100", "150", "200", "400")),
+    # pieces up to about 1e307, whose distance over eps = 0.01 overflows a float
+    (["staircase", "cone32.json", "--gamma", "170", "--epsilon", "0.01"], []),
     # a tolerance that overflows; exports whose K or Sigma fails after the map is made
     (["analyze", "rl.json", "--rel-tol", "1e308"], []),
     (["gallery", "--export", "x_over_norm", "--resolution", "33", "--with-data", "--out", "x33.json"],

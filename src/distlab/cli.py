@@ -437,11 +437,6 @@ def _cmd_distribution(plan: CommandPlan) -> tuple[dict, int]:
 
     if opts["levels_out"]:
         _write(opts["levels_out"], distribution_csv(dist))
-    curves = None
-    if opts["tgrid"] is not None:
-        curves = curves_csv(dist, opts["tgrid"])
-        if opts["curves_out"]:
-            _write(opts["curves_out"], curves)
 
     doc = {
         "total_measure": total,
@@ -461,8 +456,12 @@ def _cmd_distribution(plan: CommandPlan) -> tuple[dict, int]:
         "all_hold": all_hold,
         "provenance": _provenance(field.grid),
     }
-    if curves is not None and not opts["curves_out"]:
-        doc["curves_csv"] = curves
+    if opts["tgrid"] is not None:
+        curves = curves_csv(dist, opts["tgrid"])
+        if opts["curves_out"]:
+            _write(opts["curves_out"], curves)
+        else:
+            doc["curves_csv"] = curves
     return doc, 0 if all_hold else 2
 
 

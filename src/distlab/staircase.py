@@ -199,12 +199,14 @@ def staircase_approx(F: MonotoneFn, epsilon: float, max_steps: int) -> Staircase
         elif F.kind == "step":
             # jump taller than eps: fast-forward the ladder to the next
             # piece value instead of stepping one eps at a time; where
-            # f0 + i*eps no longer grows (i*eps beyond float resolution, so
-            # every jump there is taller than eps) the floor takes the rung
+            # f0 + i*eps no longer grows or cannot reach it (i*eps beyond
+            # float resolution or range, so every jump there is taller than
+            # eps) the floor takes the rung
             nxt = F.piece_values[np.searchsorted(F.piece_values, thr, side="right")]
             if math.isfinite(nxt):
-                i = max(i, math.ceil((nxt - f0) / epsilon) - 1)
-                if f0 + (i + 1) * epsilon <= thr:
+                rungs = (float(nxt) - f0) / epsilon
+                i = max(i, math.ceil(rungs) - 1) if rungs < math.inf else i
+                if rungs == math.inf or f0 + (i + 1) * epsilon <= thr:
                     floor = nxt
         else:
             stalls += 1

@@ -372,3 +372,13 @@ def test_ladder_one_rounding_below_a_piece_steps_on_as_before():
                         value_at_infinity=math.inf)
     res = staircase_approx(F, 0.3, 4)
     assert (res.breakpoints.tolist(), res.case) == ([0.0, 1.0, 3.0, 4.0, 4.5], "hit")
+
+
+def test_ladder_past_the_float_range_takes_the_piece():
+    # (1e307 - 0) / 0.01 overflows, so no float i * eps reaches the piece:
+    # the fast-forward raised OverflowError (a traceback from the CLI)
+    F = MonotoneFn.step(np.array([1.0, 2.0]), np.array([0.0, 1e307, math.inf]), value_at_infinity=math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = staircase_approx(F, 0.01, 4)
+    assert (res.breakpoints.tolist(), res.case) == ([0.0, 1.0, 1.5, 1.75, 1.875], "hit")
